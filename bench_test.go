@@ -1,6 +1,6 @@
 // Package tse's top-level benchmark suite: one benchmark per evaluation
-// table/figure of the paper plus ablations for the design choices
-// DESIGN.md calls out. Run with:
+// table/figure of the paper plus ablations for the design choices the
+// README's "Hot path anatomy" section calls out. Run with:
 //
 //	go test -bench=. -benchmem .
 //
@@ -267,7 +267,7 @@ func BenchmarkAltClassifiers(b *testing.B) {
 }
 
 // BenchmarkAblationOverlapCheck measures the cost of the Inv(2)
-// enforcement on insert (DESIGN.md ablation: the vswitch generator
+// enforcement on insert (ablation: the vswitch generator
 // guarantees disjointness, so the check is optional on its path).
 func BenchmarkAblationOverlapCheck(b *testing.B) {
 	for _, check := range []bool{true, false} {
@@ -291,7 +291,7 @@ func BenchmarkAblationOverlapCheck(b *testing.B) {
 }
 
 // BenchmarkAblationMaskOrder compares the victim's lookup cost under
-// attack across mask scan orders (DESIGN.md ablation: OVS's hit-count
+// attack across mask scan orders (ablation: OVS's hit-count
 // sorting rescues a hot victim flow; hash order models the paper's
 // measured m/2 average).
 func BenchmarkAblationMaskOrder(b *testing.B) {

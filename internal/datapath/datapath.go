@@ -73,8 +73,8 @@ type Config struct {
 	// p % Workers, OVS's rxq-to-PMD assignment — and the upcall
 	// subsystem's queues and admission quotas are keyed by port, the
 	// granularity OVS rate-limits at. Callers name each packet's ingress
-	// port via the ProcessBatch*Ports entry points; the port-less entry
-	// points derive a port from the RSS hash.
+	// port in the ports argument of the dispatch entry points; nil ports
+	// derive each packet's port from its RSS hash (PortOf).
 	Ports int
 	// SourceByWorker keys upcall admission on the worker index instead of
 	// the ingress port: the pre-vport behaviour, kept as an ablation. A
@@ -87,16 +87,6 @@ type Config struct {
 	// registry shard at burst end — a handful of padded atomic adds per
 	// 32-packet burst, nothing per packet.
 	Metrics *telemetry.Registry
-	// PrefetchDepth, when > 0, runs a software-prefetch pass at the head
-	// of every burst before the lookup loop: each packet's EMC
-	// fingerprint slot is touched (microflow.Cache.PrefetchBatch), and
-	// the leading PrefetchDepth cache lines of the classifier's probe
-	// mirror are streamed (tss.Handle.PrefetchScan) — the DPDK idiom
-	// where the PMD issues prefetches for the burst's cache lines while
-	// earlier packets are still being processed. 0 disables the pass
-	// (the default; the win is workload-dependent and the replay engine
-	// exposes it as a knob).
-	PrefetchDepth int
 }
 
 // WorkerStats aggregates one worker's activity.
@@ -105,8 +95,9 @@ type WorkerStats struct {
 	Packets uint64
 	// EMCHits, MegaflowHits, SlowPath partition Packets by deciding
 	// layer. In async mode a packet resolved through an upcall counts as
-	// SlowPath; packets left pending by ProcessBatchDeferred or refused at
-	// upcall admission are in neither bucket (see Upcalls/UpcallDrops).
+	// SlowPath; packets left pending by ProcessBatchDeferredPorts or
+	// refused at upcall admission are in neither bucket (see
+	// Upcalls/UpcallDrops).
 	EMCHits, MegaflowHits, SlowPath uint64
 	// Dropped and Allowed partition decided packets by verdict; a packet
 	// whose upcall was refused counts as Dropped (it never reached the
@@ -159,13 +150,12 @@ type PortStats struct {
 
 // Pool is a set of PMD workers sharing one switch. A pool is driven by a
 // single dispatcher: methods must not be called concurrently with each
-// other (the parallelism lives inside ProcessBatch, where the workers of
-// one dispatch run concurrently against the shared switch).
+// other (the parallelism lives inside ProcessBatchPorts, where the workers
+// of one dispatch run concurrently against the shared switch).
 type Pool struct {
 	sw          *vswitch.Switch
 	batch       int
 	ports       int
-	prefetch    int // prefetch pass depth in cache lines; 0 = off
 	workers     []*worker
 	assign      []int // per-header worker index of the latest dispatch
 	up          *upcall.Subsystem
@@ -244,10 +234,6 @@ type worker struct {
 	missPorts  []int
 	verdicts   []vswitch.Verdict
 	tickets    []pendingTicket
-
-	// sink accumulates the prefetch pass's touched words so the loads
-	// cannot be elided; per-worker, so no cross-goroutine write.
-	sink uint64
 }
 
 // pendingTicket is one in-flight upcall of the current burst: the ticket
@@ -272,7 +258,7 @@ func New(cfg Config) (*Pool, error) {
 		cfg.Ports = cfg.Workers
 	}
 	p := &Pool{sw: cfg.Switch, batch: cfg.BatchSize, ports: cfg.Ports,
-		prefetch: cfg.PrefetchDepth, srcByWorker: cfg.SourceByWorker}
+		srcByWorker: cfg.SourceByWorker}
 	if cfg.Metrics != nil {
 		p.tm = newPoolMetrics(cfg.Metrics)
 	}
@@ -328,8 +314,8 @@ func (p *Pool) Switch() *vswitch.Switch { return p.sw }
 // worker.
 func (p *Pool) PortWorker(port int) int { return port % len(p.workers) }
 
-// PortOf returns the vport the port-less dispatch entry points derive for
-// header h from its RSS hash. With Ports == Workers (the default) the
+// PortOf returns the vport dispatch derives for header h from its RSS hash
+// when the caller passes nil ports. With Ports == Workers (the default) the
 // resulting PortWorker mapping is identical to the pre-vport RSS dispatch.
 func (p *Pool) PortOf(h bitvec.Vec) int {
 	return int(h.Hash() % uint64(p.ports))
@@ -343,89 +329,81 @@ func (p *Pool) WorkerFor(h bitvec.Vec) int {
 	return p.PortWorker(p.PortOf(h))
 }
 
-// ProcessBatch dispatches a batch of headers across the workers by RSS
-// hash and runs the workers concurrently against the shared switch,
-// returning one verdict per header in input order (writing into out when
-// it has sufficient capacity; pass nil to allocate).
+// ProcessBatchPorts dispatches a batch of headers across the workers and
+// runs them concurrently against the shared switch, returning one verdict
+// per header in input order (writing into out when it has sufficient
+// capacity; pass nil to allocate). ports[i] is the ingress vport hs[i]
+// arrived on; nil derives each port from the RSS hash (PortOf). Packets
+// run on their port's pinned worker, per-port counters accrue, and — in
+// async mode — upcalls are admitted against the port's own queue and
+// quota. When only one worker has packets it runs on the caller's
+// goroutine: a handoff buys nothing there.
 //
 // Verdicts are deterministic per worker stream, but when concurrent
 // slow-path installs interleave, the Probes field of megaflow hits can
 // vary run to run (a mask installed by another core shifts scan
-// positions). Use ProcessBatchSerial where bit-exact reproducibility
+// positions). Use ProcessBatchSerialPorts where bit-exact reproducibility
 // matters, e.g. the paper-figure simulations.
-func (p *Pool) ProcessBatch(hs []bitvec.Vec, now int64, out []vswitch.Verdict) []vswitch.Verdict {
-	return p.ProcessBatchPorts(nil, hs, now, out)
-}
-
-// ProcessBatchPorts is ProcessBatch with each packet's ingress vport named
-// explicitly: ports[i] is the vport hs[i] arrived on (nil derives ports
-// from the RSS hash). Packets run on their port's pinned worker, per-port
-// counters accrue, and — in async mode — upcalls are admitted against the
-// port's own queue and quota.
 func (p *Pool) ProcessBatchPorts(ports []int, hs []bitvec.Vec, now int64, out []vswitch.Verdict) []vswitch.Verdict {
 	out = p.shard(ports, hs, out)
+	busy := 0
+	for _, w := range p.workers {
+		if len(w.shardHs) > 0 {
+			busy++
+		}
+	}
+	if busy <= 1 {
+		p.runSerial(now, out, false)
+		return out
+	}
 	var wg sync.WaitGroup
 	for _, w := range p.workers {
 		if len(w.shardHs) == 0 {
 			continue
 		}
 		wg.Add(1)
-		go func(w *worker) {
+		// out is passed, not captured: capturing the reassigned slice
+		// would move it to the heap on every dispatch.
+		go func(w *worker, out []vswitch.Verdict) {
 			defer wg.Done()
 			w.run(p, now, out, false)
-		}(w)
+		}(w, out)
 	}
 	wg.Wait()
 	return out
 }
 
-// ProcessBatchSerial is ProcessBatch with the workers executed one after
-// the other in index order: the deterministic drive mode. The simulator
-// models per-core parallelism through per-core CPU budgets, so it does not
-// need (and cannot afford, reproducibility-wise) real concurrency.
-func (p *Pool) ProcessBatchSerial(hs []bitvec.Vec, now int64, out []vswitch.Verdict) []vswitch.Verdict {
-	return p.ProcessBatchSerialPorts(nil, hs, now, out)
-}
-
-// ProcessBatchSerialPorts is ProcessBatchSerial with explicit ingress
-// vports (see ProcessBatchPorts).
+// ProcessBatchSerialPorts is ProcessBatchPorts with the workers executed
+// one after the other in index order: the deterministic drive mode. The
+// simulator models per-core parallelism through per-core CPU budgets, so
+// it does not need (and cannot afford, reproducibility-wise) real
+// concurrency.
 func (p *Pool) ProcessBatchSerialPorts(ports []int, hs []bitvec.Vec, now int64, out []vswitch.Verdict) []vswitch.Verdict {
 	out = p.shard(ports, hs, out)
-	for _, w := range p.workers {
-		if len(w.shardHs) == 0 {
-			continue
-		}
-		w.run(p, now, out, false)
-	}
+	p.runSerial(now, out, false)
 	return out
 }
 
-// ProcessBatchDeferred is the fire-and-forget dispatch of the asynchronous
-// slow path: like ProcessBatchSerial, but a miss's upcall is only
-// submitted, never waited for. The corresponding verdicts report
-// PathUpcallPending (queued; the decision arrives when a handler or a
-// later HandleN drains it) or PathUpcallDrop (refused at admission). The
+// ProcessBatchDeferredPorts is the fire-and-forget dispatch of the
+// asynchronous slow path: like ProcessBatchSerialPorts, but a miss's
+// upcall is only submitted, never waited for. The corresponding verdicts
+// report PathUpcallPending (queued; the decision arrives when a handler or
+// a later HandleN drains it) or PathUpcallDrop (refused at admission). The
 // dataplane simulator drives this mode and drains with the modelled
 // per-second handler budget via Upcalls().HandleN. On an inline pool it
-// falls back to ProcessBatchSerial.
-func (p *Pool) ProcessBatchDeferred(hs []bitvec.Vec, now int64, out []vswitch.Verdict) []vswitch.Verdict {
-	return p.ProcessBatchDeferredPorts(nil, hs, now, out)
+// is ProcessBatchSerialPorts.
+func (p *Pool) ProcessBatchDeferredPorts(ports []int, hs []bitvec.Vec, now int64, out []vswitch.Verdict) []vswitch.Verdict {
+	out = p.shard(ports, hs, out)
+	p.runSerial(now, out, true)
+	return out
 }
 
-// ProcessBatchDeferredPorts is ProcessBatchDeferred with explicit ingress
-// vports (see ProcessBatchPorts).
-func (p *Pool) ProcessBatchDeferredPorts(ports []int, hs []bitvec.Vec, now int64, out []vswitch.Verdict) []vswitch.Verdict {
-	if p.up == nil {
-		return p.ProcessBatchSerialPorts(ports, hs, now, out)
-	}
-	out = p.shard(ports, hs, out)
+// runSerial drains every worker's shard on the caller's goroutine, in
+// worker index order.
+func (p *Pool) runSerial(now int64, out []vswitch.Verdict, deferred bool) {
 	for _, w := range p.workers {
-		if len(w.shardHs) == 0 {
-			continue
-		}
-		w.run(p, now, out, true)
+		w.run(p, now, out, deferred)
 	}
-	return out
 }
 
 // shard steers each header to its port's worker, filling the per-worker
@@ -470,13 +448,13 @@ func (p *Pool) shard(ports []int, hs []bitvec.Vec, out []vswitch.Verdict) []vswi
 }
 
 // Assignments returns the worker index each header of the most recent
-// ProcessBatch/ProcessBatchSerial call was steered to, in input order.
+// dispatch was steered to, in input order.
 // The slice is reused by the next dispatch (a Pool is single-dispatcher);
 // copy it to keep it.
 func (p *Pool) Assignments() []int { return p.assign }
 
 // run drains the worker's shard in bursts. deferred selects the
-// fire-and-forget upcall mode (see ProcessBatchDeferred).
+// fire-and-forget upcall mode (see ProcessBatchDeferredPorts).
 func (w *worker) run(p *Pool, now int64, out []vswitch.Verdict, deferred bool) {
 	batch := p.batch
 	for start := 0; start < len(w.shardHs); start += batch {
@@ -510,12 +488,6 @@ func (w *worker) burst(p *Pool, hs []bitvec.Vec, idx, ports []int, now int64, ou
 }
 
 func (w *worker) burstRun(p *Pool, hs []bitvec.Vec, idx, ports []int, now int64, out []vswitch.Verdict, deferred bool) {
-	if p.prefetch > 0 {
-		if w.emc != nil {
-			w.sink ^= w.emc.PrefetchBatch(hs)
-		}
-		w.sink ^= w.mfc.PrefetchScan(p.prefetch)
-	}
 	w.stats.Packets += uint64(len(hs))
 	for _, port := range ports {
 		w.portStats[port].Packets++
@@ -595,23 +567,18 @@ func (w *worker) miss(p *Pool, h bitvec.Vec, port int, now int64, i, probes int,
 	if p.srcByWorker {
 		src = w.id
 	}
-	if !deferred && !p.handlers {
+	var (
+		v vswitch.Verdict
+		t upcall.Ticket
+		o upcall.Outcome
+	)
+	drive := !deferred && !p.handlers
+	if drive {
 		// Drive mode: submit and drain synchronously.
-		v, o := p.up.SubmitSync(src, h, now)
-		if o.Dropped() {
-			w.stats.UpcallDrops++
-			w.portStats[port].UpcallDrops++
-			if o == upcall.DroppedBreaker {
-				w.stats.UpcallShed++
-				w.portStats[port].UpcallShed++
-			}
-			return vswitch.Verdict{Action: flowtable.Drop, Path: vswitch.PathUpcallDrop, Probes: probes}
-		}
-		w.stats.Upcalls++
-		w.portStats[port].Upcalls++
-		return v
+		v, o = p.up.SubmitSync(src, h, now)
+	} else {
+		t, o = p.up.Submit(src, h, now)
 	}
-	t, o := p.up.Submit(src, h, now)
 	if o.Dropped() {
 		w.stats.UpcallDrops++
 		w.portStats[port].UpcallDrops++
@@ -623,6 +590,9 @@ func (w *worker) miss(p *Pool, h bitvec.Vec, port int, now int64, i, probes int,
 	}
 	w.stats.Upcalls++
 	w.portStats[port].Upcalls++
+	if drive {
+		return v
+	}
 	if !deferred {
 		w.tickets = append(w.tickets, pendingTicket{t: t, idx: i})
 	}

@@ -83,7 +83,7 @@ func TestWorkerForRSS(t *testing.T) {
 		}
 	}
 	// Assignments mirrors WorkerFor for the latest dispatch.
-	p.ProcessBatchSerial(trace, 0, nil)
+	p.ProcessBatchSerialPorts(nil, trace, 0, nil)
 	assign := p.Assignments()
 	if len(assign) != len(trace) {
 		t.Fatalf("Assignments length %d, want %d", len(assign), len(trace))
@@ -102,8 +102,8 @@ func TestWorkerForRSS(t *testing.T) {
 func TestPoolSerialDeterminism(t *testing.T) {
 	a, b := newPool(t, 4, true), newPool(t, 4, true)
 	trace := attackMix(t, a.Switch().FlowTable())
-	va := a.ProcessBatchSerial(trace, 0, nil)
-	vb := b.ProcessBatchSerial(trace, 0, nil)
+	va := a.ProcessBatchSerialPorts(nil, trace, 0, nil)
+	vb := b.ProcessBatchSerialPorts(nil, trace, 0, nil)
 	for i := range trace {
 		if va[i] != vb[i] {
 			t.Fatalf("packet %d: run A %+v != run B %+v", i, va[i], vb[i])
@@ -131,7 +131,7 @@ func TestPoolMatchesSerialSwitch(t *testing.T) {
 			}
 			trace := attackMix(t, ref.FlowTable())
 
-			got := pool.ProcessBatchSerial(trace, 0, nil)
+			got := pool.ProcessBatchSerialPorts(nil, trace, 0, nil)
 			want := make([]vswitch.Verdict, len(trace))
 			for i, h := range trace {
 				want[i] = ref.Process(h, 0)
@@ -163,7 +163,7 @@ func TestPoolMatchesSerialSwitch(t *testing.T) {
 			if emc {
 				return // warm-pass verdicts include EMC paths by design
 			}
-			got = pool.ProcessBatchSerial(trace, 1, got)
+			got = pool.ProcessBatchSerialPorts(nil, trace, 1, got)
 			for i, h := range trace {
 				want[i] = ref.Process(h, 1)
 			}
@@ -198,7 +198,7 @@ func TestPoolParallel(t *testing.T) {
 	const rounds = 3
 	var out []vswitch.Verdict
 	for r := 0; r < rounds; r++ {
-		out = pool.ProcessBatch(trace, int64(r), out)
+		out = pool.ProcessBatchPorts(nil, trace, int64(r), out)
 		for i, v := range out {
 			if want := wantAction[trace[i].Key()]; v.Action != want {
 				t.Fatalf("round %d packet %d: action %v, want %v", r, i, v.Action, want)
@@ -250,7 +250,7 @@ func TestPoolWithConcurrentMonitor(t *testing.T) {
 	}()
 	var out []vswitch.Verdict
 	for r := 0; r < 3; r++ {
-		out = pool.ProcessBatch(trace, int64(r), out)
+		out = pool.ProcessBatchPorts(nil, trace, int64(r), out)
 	}
 	close(stop)
 	wg.Wait()
@@ -263,7 +263,7 @@ func TestPoolWithConcurrentMonitor(t *testing.T) {
 func TestFlushEMC(t *testing.T) {
 	pool := newPool(t, 2, false)
 	trace := benignFlows(8)
-	pool.ProcessBatchSerial(trace, 0, nil)
+	pool.ProcessBatchSerialPorts(nil, trace, 0, nil)
 	populated := 0
 	for i := 0; i < pool.Workers(); i++ {
 		populated += pool.EMC(i).Len()
@@ -275,6 +275,49 @@ func TestFlushEMC(t *testing.T) {
 	for i := 0; i < pool.Workers(); i++ {
 		if n := pool.EMC(i).Len(); n != 0 {
 			t.Errorf("worker %d EMC holds %d entries after flush", i, n)
+		}
+	}
+}
+
+// TestAllHitBurstZeroAlloc pins the fast path of ProcessBatchSerialPorts
+// and ProcessBatchPorts at 0 allocations per 32-packet burst on a warm
+// 1-worker, 4-port pool: an all-EMC-hit burst, and an all-megaflow-hit
+// burst with the EMC disabled. Only slow-path installs may allocate.
+func TestAllHitBurstZeroAlloc(t *testing.T) {
+	flows := benignFlows(datapath.DefaultBatchSize)
+	ports := make([]int, len(flows))
+	for i := range ports {
+		ports[i] = i % 4
+	}
+	for _, disableEMC := range []bool{false, true} {
+		tbl := flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{})
+		sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool, err := datapath.New(datapath.Config{
+			Switch: sw, Workers: 1, Ports: 4, DisableEMC: disableEMC})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := pool.ProcessBatchSerialPorts(ports, flows, 0, nil) // warm: install, prime
+		want := vswitch.PathMicroflow
+		if disableEMC {
+			want = vswitch.PathMegaflow
+		}
+		for name, dispatch := range map[string]func(){
+			"ProcessBatchSerialPorts": func() { pool.ProcessBatchSerialPorts(ports, flows, 1, out) },
+			"ProcessBatchPorts":       func() { pool.ProcessBatchPorts(ports, flows, 1, out) },
+		} {
+			dispatch()
+			for i, v := range out {
+				if v.Path != want {
+					t.Fatalf("disableEMC=%v %s: packet %d took %v, want %v", disableEMC, name, i, v.Path, want)
+				}
+			}
+			if allocs := testing.AllocsPerRun(200, dispatch); allocs != 0 {
+				t.Errorf("disableEMC=%v %s: %.1f allocs per burst, want 0", disableEMC, name, allocs)
+			}
 		}
 	}
 }

@@ -60,7 +60,7 @@ func TestPortPinnedDispatch(t *testing.T) {
 		}
 	}
 	// The port-less entry point still works and is flow-sticky.
-	pool.ProcessBatchSerial(flows, 1, nil)
+	pool.ProcessBatchSerialPorts(nil, flows, 1, nil)
 	for i, wi := range pool.Assignments() {
 		if want := pool.WorkerFor(flows[i]); wi != want {
 			t.Fatalf("RSS packet %d on worker %d, want %d", i, wi, want)

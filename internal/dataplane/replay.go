@@ -25,16 +25,11 @@ type ReplayConfig struct {
 	Use flowtable.UseCase
 	// Table overrides the ACL; when nil it is built from Use.
 	Table *flowtable.Table
-	// Workers is the PMD pool size (1 when <= 0). Single-worker pools
-	// dispatch serially: a goroutine handoff per burst buys nothing on
-	// one core.
+	// Workers is the PMD pool size (1 when <= 0).
 	Workers int
 	// Ports is the vport count (4 when <= 0); must cover the trace's
 	// in_port values.
 	Ports int
-	// PrefetchDepth is handed to the pool's per-burst prefetch pass
-	// (0 disables it).
-	PrefetchDepth int
 	// Chunk is the records decoded per dispatch (trace.DefaultChunk when
 	// <= 0).
 	Chunk int
@@ -78,13 +73,11 @@ func buildReplayPipeline(cfg ReplayConfig) (*vswitch.Switch, *datapath.Pool, *tr
 	if ports <= 0 {
 		ports = 4
 	}
-	pool, err := datapath.New(datapath.Config{
-		Switch: sw, Workers: workers, Ports: ports, PrefetchDepth: cfg.PrefetchDepth})
+	pool, err := datapath.New(datapath.Config{Switch: sw, Workers: workers, Ports: ports})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	rr := &trace.Replayer{
-		Pool: pool, Chunk: cfg.Chunk, Serial: workers == 1, TickSwitch: cfg.TickSwitch}
+	rr := &trace.Replayer{Pool: pool, Chunk: cfg.Chunk, TickSwitch: cfg.TickSwitch}
 	return sw, pool, rr, nil
 }
 

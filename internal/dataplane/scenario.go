@@ -292,11 +292,7 @@ func (sc *Scenario) runMulticore(perCore float64) ([]Sample, error) {
 				ports = append(ports, ph.Port)
 				cursor[i]++
 			}
-			if usePorts {
-				verdicts = pool.ProcessBatchSerialPorts(ports, batch, now, verdicts)
-			} else {
-				verdicts = pool.ProcessBatchSerial(batch, now, verdicts)
-			}
+			verdicts = pool.ProcessBatchSerialPorts(portsOrNil(usePorts, ports), batch, now, verdicts)
 			assign := pool.Assignments()
 			for k, v := range verdicts[:len(batch)] {
 				workerAttack[assign[k]] += verdictCost(v, sc.NIC)

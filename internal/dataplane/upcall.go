@@ -237,7 +237,7 @@ func (sc *Scenario) runAsync(perCore float64) ([]Sample, error) {
 	}
 	if up.Faults != nil {
 		// Install errors are the switch's side of the fault schedule: a
-		// window during which HandleMissFrom refuses to install megaflows,
+		// window during which HandleMissBatch refuses to install megaflows,
 		// so every packet of the affected flows keeps missing.
 		sc.Switch.SetInstallFault(up.Faults.InstallErrorAt)
 	}

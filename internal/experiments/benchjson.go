@@ -332,7 +332,7 @@ func BenchJSON() (*BenchReport, error) {
 			if err != nil {
 				return nil, err
 			}
-			out := pool.ProcessBatch(trace, 0, nil) // warm: install megaflows
+			out := pool.ProcessBatchPorts(nil, trace, 0, nil) // warm: install megaflows
 			name := fmt.Sprintf("datapath_attack_workers_%d", workers)
 			addW(name, workers, map[string]float64{
 				"pkts_per_op": float64(len(trace)),
@@ -340,7 +340,7 @@ func BenchJSON() (*BenchReport, error) {
 			}, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					out = pool.ProcessBatch(trace, 1, out)
+					out = pool.ProcessBatchPorts(nil, trace, 1, out)
 				}
 			})
 			// Record throughput explicitly so the trajectory diff reads in
@@ -576,14 +576,13 @@ func BenchJSON() (*BenchReport, error) {
 			if err != nil {
 				return nil, err
 			}
-			return datapath.New(datapath.Config{
-				Switch: sw, Workers: workers, Ports: 4, PrefetchDepth: 8})
+			return datapath.New(datapath.Config{Switch: sw, Workers: workers, Ports: 4})
 		}
 		pool, err := mkPool(1)
 		if err != nil {
 			return nil, err
 		}
-		rr := &trc.Replayer{Pool: pool, Serial: true}
+		rr := &trc.Replayer{Pool: pool}
 		rd.Reset()
 		rr.Run(rd) // warm: EMC primed, dispatch buffers grown
 		rd.Reset()
@@ -793,8 +792,7 @@ func BenchJSON() (*BenchReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := dataplane.RunReplay(dataplane.ReplayConfig{
-			PrefetchDepth: 8, TickSwitch: true}, rd)
+		res, err := dataplane.RunReplay(dataplane.ReplayConfig{TickSwitch: true}, rd)
 		if err != nil {
 			return nil, err
 		}

@@ -1,14 +1,12 @@
 // Package trace implements the repository's compact binary flow-trace
-// format and the wire-rate replay engine over it — the ingest layer the
-// ROADMAP's "wire-rate ingest" item asked for. Where the experiment
+// format and the wire-rate replay engine over it: the ingest layer of the
+// packet path. Where the experiment
 // runners synthesize bitvec.Vec headers one at a time (modelling the
 // classifier but never the receive path), a trace file replays through
 // the PMD pool the way a DPDK rx burst would: mmap'd records decoded
 // straight into reusable structure-of-arrays batches (one flat word
 // arena, zero per-packet allocation) and dispatched to
-// datapath.Pool.ProcessBatchPorts in 32-packet bursts, with a software
-// prefetch pass over the EMC fingerprint slots and the head of the tss
-// probe mirror ahead of the lookup loop.
+// datapath.Pool.ProcessBatchPorts in 32-packet bursts.
 //
 // File layout (all little-endian):
 //

@@ -10,15 +10,16 @@ import (
 
 // DefaultChunk is the number of records decoded per dispatch. The pool
 // still bursts at its own BatchSize (32, NETDEV_MAX_BURST) inside each
-// dispatch; the larger decode chunk amortises shard setup and — in
-// concurrent mode — goroutine handoff across many bursts, the way a
+// dispatch; the larger decode chunk amortises shard setup and — on a
+// multi-worker pool — goroutine handoff across many bursts, the way a
 // PMD's rx ring amortises doorbell costs over many descriptors.
 const DefaultChunk = 1024
 
 // Replayer drives a trace through a datapath pool at wall-clock rate:
 // decode a chunk into the reusable SoA batch, dispatch it to
-// ProcessBatchPorts (32-packet bursts, EMC prepass, prefetch pass when
-// the pool enables it), repeat. The measured quantity is achieved
+// ProcessBatchPorts (32-packet bursts, EMC prepass, then the megaflow
+// scan), repeat. A single-worker pool runs on the caller's goroutine, so
+// its replay is deterministic. The measured quantity is achieved
 // packets per wall second — ingest plus classification, the number the
 // experiment runners could previously only model.
 type Replayer struct {
@@ -28,11 +29,6 @@ type Replayer struct {
 	// Chunk is the records decoded per dispatch; <= 0 selects
 	// DefaultChunk.
 	Chunk int
-	// Serial dispatches through ProcessBatchSerialPorts: deterministic
-	// order, no goroutine handoff. The right mode for single-worker
-	// pools (a goroutine per dispatch buys nothing on one PMD) and for
-	// the replay-vs-synthetic equivalence tests.
-	Serial bool
 	// TickSwitch runs the switch's idle-expiry sweep (Switch.Tick) at
 	// every trace tick transition, as the virtual-time scenarios do.
 	TickSwitch bool
@@ -135,11 +131,7 @@ func (r *Replayer) Dispatch(b *Batch, last int64) int64 {
 		if cap(r.out) < j-i {
 			r.out = make([]vswitch.Verdict, j-i)
 		}
-		if r.Serial {
-			r.Pool.ProcessBatchSerialPorts(b.Ports[i:j], b.Keys[i:j], tick, r.out[:j-i])
-		} else {
-			r.Pool.ProcessBatchPorts(b.Ports[i:j], b.Keys[i:j], tick, r.out[:j-i])
-		}
+		r.Pool.ProcessBatchPorts(b.Ports[i:j], b.Keys[i:j], tick, r.out[:j-i])
 		i = j
 	}
 	return last

@@ -63,23 +63,7 @@ const (
 	// OrderHitCount scans masks most-hit-first, re-sorted lazily. Models
 	// the OVS userspace classifier's pvector priority optimisation.
 	OrderHitCount
-	// OrderProbeCost scans masks by hits per unit of *measured* probe
-	// cost, re-sorted lazily like OrderHitCount. Staged lookup makes
-	// per-probe cost non-uniform — a mask whose probes mostly bail at the
-	// first stage costs a word touch, one that rarely bails costs the full
-	// masked hash+compare over its nonzero words — so the scan-order
-	// objective is hits/cost, not raw hits: a cheap mask in an early
-	// position taxes every lookup less than an expensive one with the same
-	// hit count. Cost is measured per group as the mean words touched per
-	// probe (stage-skip rate x nonzero words); with staging off (or no
-	// skips observed) every mask costs its word count and, at equal word
-	// counts, the order degenerates to OrderHitCount exactly — the
-	// equivalence the probecost tests pin down.
-	OrderProbeCost
 )
-
-// resorts reports whether the order re-sorts lazily from measured traffic.
-func (o MaskOrder) resorts() bool { return o == OrderHitCount || o == OrderProbeCost }
 
 // Entry is one megaflow: a disjoint key-mask pair with a cached action.
 type Entry struct {
@@ -176,14 +160,7 @@ type group struct {
 	words   []int // nonzero word indices of mask, in order
 	n       int
 	hits    *uint64 // shared across copy-on-write clones
-	// probes and skips measure the group's per-probe cost for
-	// OrderProbeCost (shared across clones like hits): probes counts scan
-	// probes of this mask, skips the subset that bailed at a stage
-	// boundary. Only maintained while the classifier runs OrderProbeCost,
-	// so the default orders pay nothing for them.
-	probes *uint64
-	skips  *uint64
-	seq    int
+	seq     int
 }
 
 // slot is one open-addressing cell: the key's fingerprint (keyHash) for a
@@ -208,8 +185,6 @@ func newGroup(mask bitvec.Vec, maskKey string, seq int, stages []int) *group {
 		words:   mask.NonzeroWords(),
 		slots:   make([]slot, minGroupSlots),
 		hits:    new(uint64),
-		probes:  new(uint64),
-		skips:   new(uint64),
 		seq:     seq,
 	}
 	g.sparse, g.sparseOK = bitvec.NewSparseMask(mask)
@@ -561,12 +536,11 @@ type Classifier struct {
 	staged  bool
 
 	snap  atomic.Pointer[snapshot]
-	dirty atomic.Bool // OrderHitCount/OrderProbeCost needs re-sort
+	dirty atomic.Bool // OrderHitCount needs re-sort
 
 	def      *Handle
 	shardsMu sync.Mutex
 	shards   []*statShard
-	costKeys []float64 // resort scratch (under mu), OrderProbeCost only
 
 	inserted, deleted, published uint64 // writer-side counters, under mu
 }
@@ -715,8 +689,7 @@ func (c *Classifier) Lookup(h bitvec.Vec, now int64) (*Entry, int, bool) {
 func (hd *Handle) Lookup(h bitvec.Vec, now int64) (*Entry, int, bool) {
 	c := hd.c
 	c.maybeResort()
-	e, probes, _, ok := hd.lookupSnap(c.snap.Load(), h, now)
-	return e, probes, ok
+	return hd.lookupSnap(c.snap.Load(), h, now)
 }
 
 // lookupSnap runs Algorithm 1 over one snapshot: for M ∈ M, look up
@@ -725,13 +698,8 @@ func (hd *Handle) Lookup(h bitvec.Vec, now int64) (*Entry, int, bool) {
 // bail skipping most of that work for non-matching masks. Hit accounting
 // is atomic so any number of readers may run concurrently; scan
 // statistics go to the handle's private shard.
-func (hd *Handle) lookupSnap(sn *snapshot, h bitvec.Vec, now int64) (*Entry, int, int, bool) {
+func (hd *Handle) lookupSnap(sn *snapshot, h bitvec.Vec, now int64) (*Entry, int, bool) {
 	c := hd.c
-	if c.opts.Order == OrderProbeCost {
-		// Probe-cost ranking needs per-group probe/skip accounting; it
-		// runs in its own loop so the default orders pay nothing for it.
-		return hd.lookupSnapTracked(sn, h, now)
-	}
 	staged := c.staged
 	probes, skips := 0, 0
 	for k := range sn.probes {
@@ -786,7 +754,7 @@ func (hd *Handle) lookupSnap(sn *snapshot, h bitvec.Vec, now int64) (*Entry, int
 			atomic.AddUint64(&sh.hits, 1)
 			atomic.AddUint64(&sh.probes, uint64(probes))
 			atomic.AddUint64(&sh.stageSkips, uint64(skips))
-			return e, probes, skips, true
+			return e, probes, true
 		}
 	}
 	sh := hd.sh
@@ -794,63 +762,7 @@ func (hd *Handle) lookupSnap(sn *snapshot, h bitvec.Vec, now int64) (*Entry, int
 	atomic.AddUint64(&sh.misses, 1)
 	atomic.AddUint64(&sh.probes, uint64(probes))
 	atomic.AddUint64(&sh.stageSkips, uint64(skips))
-	return nil, probes, skips, false
-}
-
-// lookupSnapTracked is lookupSnap for OrderProbeCost: identical probe
-// semantics, plus per-group probe/skip counters — the measurements the
-// cost-aware resort ranks by. Kept out of lookupSnap so the default
-// orders' scan loop carries no accounting branches.
-func (hd *Handle) lookupSnapTracked(sn *snapshot, h bitvec.Vec, now int64) (*Entry, int, int, bool) {
-	c := hd.c
-	staged := c.staged
-	probes, skips := 0, 0
-	for k := range sn.probes {
-		p := &sn.probes[k]
-		probes++
-		var e *Entry
-		var skip bool
-		if p.e0 != nil {
-			if staged {
-				if h[p.idx0]&p.mw0 != p.kw0 {
-					skip = p.n > 1
-				} else if p.n <= 1 {
-					e = p.e0
-				} else if p.g.sparse.EqualKey(p.e0.Key, h) {
-					e = p.e0
-				}
-			} else if g := p.g; g.sparse.Hash(h) == g.soloFP && g.sparse.EqualKey(p.e0.Key, h) {
-				e = p.e0
-			}
-		} else if staged {
-			e, skip = p.g.findMaskedStaged(h)
-		} else {
-			e = p.g.findMasked(h)
-		}
-		atomic.AddUint64(p.g.probes, 1)
-		if skip {
-			skips++
-			atomic.AddUint64(p.g.skips, 1)
-		}
-		if e != nil {
-			atomic.AddUint64(&e.Hits, 1)
-			atomic.StoreInt64(&e.LastUsed, now)
-			atomic.AddUint64(p.hits, 1)
-			c.dirty.Store(true)
-			sh := hd.sh
-			atomic.AddUint64(&sh.lookups, 1)
-			atomic.AddUint64(&sh.hits, 1)
-			atomic.AddUint64(&sh.probes, uint64(probes))
-			atomic.AddUint64(&sh.stageSkips, uint64(skips))
-			return e, probes, skips, true
-		}
-	}
-	sh := hd.sh
-	atomic.AddUint64(&sh.lookups, 1)
-	atomic.AddUint64(&sh.misses, 1)
-	atomic.AddUint64(&sh.probes, uint64(probes))
-	atomic.AddUint64(&sh.stageSkips, uint64(skips))
-	return nil, probes, skips, false
+	return nil, probes, false
 }
 
 // BatchResult is one per-header outcome of LookupBatch.
@@ -891,7 +803,7 @@ func (hd *Handle) LookupBatch(hs []bitvec.Vec, now int64, out []BatchResult) int
 	sn := c.snap.Load()
 	n := 0
 	for _, h := range hs {
-		e, probes, _, ok := hd.lookupSnap(sn, h, now)
+		e, probes, ok := hd.lookupSnap(sn, h, now)
 		out[n] = BatchResult{Entry: e, Probes: probes, OK: ok}
 		n++
 		if !ok {
@@ -899,38 +811,6 @@ func (hd *Handle) LookupBatch(hs []bitvec.Vec, now int64, out []BatchResult) int
 		}
 	}
 	return n
-}
-
-// scanProbeBytes approximates the in-memory size of one probe-mirror
-// record (48 bytes on 64-bit hosts: three pointers, two words, two
-// packed bytes with padding). PrefetchScan uses it to translate a
-// cache-line budget into a record count.
-const scanProbeBytes = 48
-
-// PrefetchScan touches the leading `lines` cache lines of the current
-// snapshot's probe mirror — the memory the next lookup's scan will
-// stream through — and returns the XOR of the touched mask words so the
-// caller can sink it (Go has no prefetch intrinsic; the "prefetch" is a
-// plain load, and sinking the result keeps the compiler from eliding
-// it). This is the probe-mirror counterpart of the EMC's PrefetchBatch:
-// the scan is hit-count ordered, so its head holds the hot groups and a
-// bounded depth warms where victim lookups resolve, without paying a
-// full O(|M|) touch pass per burst in the attack regime. It takes no
-// locks (snapshot reads are lock-free) and performs no allocation.
-func (hd *Handle) PrefetchScan(lines int) uint64 {
-	if lines <= 0 {
-		return 0
-	}
-	sn := hd.c.snap.Load()
-	n := lines * 64 / scanProbeBytes
-	if n > len(sn.probes) {
-		n = len(sn.probes)
-	}
-	var sink uint64
-	for k := 0; k < n; k++ {
-		sink ^= sn.probes[k].mw0
-	}
-	return sink
 }
 
 // Stats returns the read-path counters recorded through this handle only
@@ -947,12 +827,12 @@ func (hd *Handle) Stats() Stats {
 	}
 }
 
-// maybeResort restores hit-count (or probe-cost) order before a read-path
+// maybeResort restores hit-count order before a read-path
 // scan. At most one reader performs the re-sort (TryLock); everyone else
 // proceeds with the current snapshot, so the read path never blocks on the
 // writer lock. OrderHash and OrderInsertion never enter it.
 func (c *Classifier) maybeResort() {
-	if c.opts.Order.resorts() && c.dirty.Load() {
+	if c.opts.Order == OrderHitCount && c.dirty.Load() {
 		if c.mu.TryLock() {
 			c.resortLocked()
 			c.mu.Unlock()
@@ -1135,72 +1015,21 @@ func (c *Classifier) placeLocked() {
 	c.probes = append(c.probes, scanProbe{})
 	copy(c.probes[pos+1:], c.probes[pos:len(c.probes)-1])
 	c.probes[pos] = buildProbe(g)
-	if c.opts.Order.resorts() {
+	if c.opts.Order == OrderHitCount {
 		// Appended for now; the lazy resort restores the measured order.
 		c.dirty.Store(true)
 	}
 }
 
-// costSorter stably sorts the writer-side group order by descending
-// snapshotted probe-cost key, keeping the two slices in tandem.
-type costSorter struct {
-	groups []*group
-	keys   []float64
-}
-
-func (s *costSorter) Len() int           { return len(s.groups) }
-func (s *costSorter) Less(i, j int) bool { return s.keys[i] > s.keys[j] }
-func (s *costSorter) Swap(i, j int) {
-	s.groups[i], s.groups[j] = s.groups[j], s.groups[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-}
-
-// probeCostKey is the OrderProbeCost sort key: hits per mean word touched
-// per probe. A probe that bailed at a stage boundary touched roughly one
-// word; a full probe touched every nonzero mask word. With no probes
-// observed (or staging off and so no skips) the mean is the word count, and
-// masks of equal width order exactly as OrderHitCount would.
-func probeCostKey(g *group) float64 {
-	words := float64(len(g.words))
-	if words == 0 {
-		words = 1
-	}
-	mean := words
-	if probes := float64(atomic.LoadUint64(g.probes)); probes > 0 {
-		skips := float64(atomic.LoadUint64(g.skips))
-		mean = ((probes-skips)*words + skips) / probes
-	}
-	return float64(atomic.LoadUint64(g.hits)) / mean
-}
-
-// resortLocked re-sorts the measured scan order (hit count, or hits per
-// measured probe cost) lazily, rebuilds the probe mirror, and publishes
-// the re-ordered snapshot.
+// resortLocked re-sorts the hit-count scan order lazily, rebuilds the
+// probe mirror, and publishes the re-ordered snapshot.
 func (c *Classifier) resortLocked() {
-	if !c.opts.Order.resorts() || !c.dirty.Load() {
+	if c.opts.Order != OrderHitCount || !c.dirty.Load() {
 		return
 	}
-	if c.opts.Order == OrderProbeCost {
-		// Keys are snapshotted before sorting: concurrent readers keep
-		// bumping the counters, and a comparator re-reading them mid-sort
-		// would not be a consistent ordering. The scratch slices live on
-		// the classifier (we hold c.mu) — under traffic every hit dirties
-		// the order, so re-sorts are frequent enough that per-resort
-		// O(|M|) allocations would be real garbage.
-		n := len(c.groups)
-		if cap(c.costKeys) < n {
-			c.costKeys = make([]float64, n)
-		}
-		keys := c.costKeys[:n]
-		for i, g := range c.groups {
-			keys[i] = probeCostKey(g)
-		}
-		sort.Stable(&costSorter{groups: c.groups, keys: keys})
-	} else {
-		sort.SliceStable(c.groups, func(i, j int) bool {
-			return atomic.LoadUint64(c.groups[i].hits) > atomic.LoadUint64(c.groups[j].hits)
-		})
-	}
+	sort.SliceStable(c.groups, func(i, j int) bool {
+		return atomic.LoadUint64(c.groups[i].hits) > atomic.LoadUint64(c.groups[j].hits)
+	})
 	c.probes = c.probes[:0]
 	for _, g := range c.groups {
 		c.probes = append(c.probes, buildProbe(g))

@@ -330,6 +330,35 @@ func TestMaskOrderHitCount(t *testing.T) {
 	}
 }
 
+// TestMaskOrderHitCountStableTie: at equal hit counts the hit-count resort
+// is stable, so the mask inserted first keeps the front of the scan.
+func TestMaskOrderHitCountStableTie(t *testing.T) {
+	l := bitvec.IPv4Tuple
+	sip, _ := l.FieldIndex("ip_src")
+	wide := bitvec.FullMask(l)
+	wideKey := bitvec.NewVec(l)
+	wideKey.SetField(l, sip, 0x02000000)
+	narrow := bitvec.PrefixMask(l, sip, 8)
+	narrowKey := bitvec.NewVec(l)
+	narrowKey.SetField(l, sip, 0x01000000)
+
+	c := New(l, Options{Order: OrderHitCount, DisableStagedLookup: true})
+	if err := c.Insert(&Entry{Key: wideKey.And(wide), Mask: wide, Action: flowtable.Allow}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Insert(&Entry{Key: narrowKey.And(narrow), Mask: narrow, Action: flowtable.Allow}, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		c.Lookup(wideKey, 1)
+		c.Lookup(narrowKey, 1)
+	}
+	c.Lookup(bitvec.NewVec(l), 2) // trigger the lazy resort
+	if masks := c.Masks(); !masks[0].Equal(wide) {
+		t.Error("OrderHitCount broke its stable tie (expected insertion order)")
+	}
+}
+
 // TestProbePositionHitCountResort: ProbePosition must observe the lazily
 // re-sorted order under OrderHitCount — a hammered mask's position moves to
 // the front even when the resort trigger was a lookup, not an insert.

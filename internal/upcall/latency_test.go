@@ -8,6 +8,7 @@ import (
 	"tse/internal/flowtable"
 	"tse/internal/tss"
 	"tse/internal/upcall"
+	"tse/internal/vswitch"
 )
 
 // TestLatencyHistBasics pins the histogram semantics the flow-setup metric
@@ -362,7 +363,7 @@ func TestOrphanPressureSurfaced(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		sw.HandleMissFrom(3, tr.Headers[i], 0)
+		sw.HandleMissBatch([]vswitch.Miss{{Port: 3, Header: tr.Headers[i]}}, 0)
 	}
 	rv.Sweep(0)
 	if st := rv.Stats(); st.OrphanPressure != 4 {

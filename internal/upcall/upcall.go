@@ -28,9 +28,9 @@
 //
 //   - Handler goroutines. Start launches handlers that drain the queues
 //     round-robin and run the flow-table classification; they call
-//     vswitch.HandleMiss and are then the single writers installing into
-//     the tss.Classifier, preserving the concurrent-reader/single-writer
-//     design of the megaflow cache.
+//     vswitch.HandleMissBatch and are then the single writers installing
+//     into the tss.Classifier, preserving the concurrent-reader/single-
+//     writer design of the megaflow cache.
 //
 //   - A revalidator (revalidator.go) that periodically dumps the megaflow
 //     cache, expires idle entries, and re-checks the survivors against the
@@ -784,26 +784,14 @@ func (u *Subsystem) Stats() Stats {
 	return st
 }
 
-// handle resolves one upcall: the handler-side slow path. The verdict
-// comes from vswitch.HandleMissFrom — classification plus megaflow
-// install, attributed to the miss's ingress port — stamped with the miss's
-// own virtual time, exactly as the inline pipeline stamps it. The pending
-// entry is then retired and every waiter released. This is the drive-mode
-// (SubmitSync) path; handler drains batch through handleBatch instead.
-func (u *Subsystem) handle(it item) {
-	v := u.sw.HandleMissFrom(it.src, it.h, it.now)
-	u.resolve(it, v)
-}
-
-// handleBatch resolves one drained burst through the batched slow path:
-// one flow-table classification pass and ONE megaflow-install transaction
-// (single snapshot publish) for the whole burst, stamped at the burst's
-// latest miss time. Every waiter of every flow in the burst is released.
+// handleBatch resolves a drained burst of upcalls, the handler-side slow
+// path: one vswitch.HandleMissBatch — classification plus ONE
+// megaflow-install transaction (single snapshot publish), each megaflow
+// attributed to its miss's ingress port — stamped at the burst's latest
+// miss time. A one-item burst (the drive-mode SubmitSync path) is thus
+// stamped with the miss's own virtual time, exactly as the inline pipeline
+// stamps it. Every waiter of every flow in the burst is released.
 func (u *Subsystem) handleBatch(items []item) {
-	if len(items) == 1 {
-		u.handle(items[0])
-		return
-	}
 	now := items[0].now
 	ms := make([]vswitch.Miss, len(items))
 	for i, it := range items {
@@ -909,7 +897,7 @@ func (u *Subsystem) handleNext(src int) bool {
 	if !ok {
 		return false
 	}
-	u.handle(it)
+	u.handleBatch([]item{it})
 	return true
 }
 
@@ -922,7 +910,7 @@ func (u *Subsystem) handleAny() bool {
 	if !ok {
 		return false
 	}
-	u.handle(it)
+	u.handleBatch([]item{it})
 	return true
 }
 

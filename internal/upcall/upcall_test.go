@@ -291,7 +291,7 @@ func TestSubmitSyncMatchesInline(t *testing.T) {
 		want := swA.Process(h, 0)
 		// Fast path on swB, with the miss routed through the subsystem —
 		// the seam the async datapath uses.
-		got := swB.ProcessBatchFunc(tr.Headers[i:i+1], 0, scratch[:],
+		got := swB.ProcessBatchOn(nil, tr.Headers[i:i+1], 0, scratch[:],
 			func(_, _ int) vswitch.Verdict {
 				v, out := sub.SubmitSync(0, h, 0)
 				if out.Dropped() {

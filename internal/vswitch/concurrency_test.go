@@ -55,7 +55,7 @@ func TestSwitchConcurrentProcess(t *testing.T) {
 					if end > len(tr.Headers) {
 						end = len(tr.Headers)
 					}
-					sw.ProcessBatch(tr.Headers[i:end], int64(i), out)
+					sw.ProcessBatchOn(nil, tr.Headers[i:end], int64(i), out, nil)
 				}
 			}
 		}(g)
@@ -151,7 +151,7 @@ func TestSwitchConcurrentSwapAndSweep(t *testing.T) {
 				}
 				if r%2 == 1 {
 					end := (i * 32) % (len(tr.Headers) - 32)
-					sw.ProcessBatch(tr.Headers[end:end+32], int64(i%5), out)
+					sw.ProcessBatchOn(nil, tr.Headers[end:end+32], int64(i%5), out, nil)
 				}
 			}
 		}(r)

@@ -1,6 +1,6 @@
 // Equivalence tests for the batched miss-to-install step: HandleMissBatch
 // must leave the switch in the same state — megaflows, counters, verdict
-// actions — as the equivalent sequence of HandleMiss calls, while paying
+// actions — as the equivalent sequence of one-miss calls, while paying
 // exactly one classifier snapshot publish per burst.
 package vswitch_test
 
@@ -30,8 +30,9 @@ func newMissSwitch(t *testing.T, use flowtable.UseCase, cfg func(*vswitch.Config
 }
 
 // TestHandleMissBatchMatchesSerial: a drained burst of distinct flow
-// misses produces the same megaflows, counters, and verdict actions as the
-// serial path, with one snapshot publish for the whole burst.
+// misses produces the same megaflows, counters, and verdict actions as K
+// one-miss HandleMissBatch calls, with one snapshot publish for the whole
+// burst where the one-miss sequence pays K.
 func TestHandleMissBatchMatchesSerial(t *testing.T) {
 	batched := newMissSwitch(t, flowtable.SipDp, nil)
 	serial := newMissSwitch(t, flowtable.SipDp, nil)
@@ -50,12 +51,16 @@ func TestHandleMissBatchMatchesSerial(t *testing.T) {
 	if pubs := batched.MFC().Stats().Publishes - before; pubs != 1 {
 		t.Errorf("burst of %d misses published %d snapshots, want exactly 1", len(ms), pubs)
 	}
+	before = serial.MFC().Stats().Publishes
 	for i, m := range ms {
-		want := serial.HandleMissFrom(m.Port, m.Header, 4)
+		want := serial.HandleMissBatch([]vswitch.Miss{m}, 4)[0]
 		if got[i].Action != want.Action || got[i].OutPort != want.OutPort ||
 			got[i].Path != want.Path || got[i].Rule != want.Rule {
 			t.Fatalf("miss %d: batch verdict %+v != serial %+v", i, got[i], want)
 		}
+	}
+	if pubs := serial.MFC().Stats().Publishes - before; pubs != uint64(len(ms)) {
+		t.Errorf("%d one-miss calls published %d snapshots, want %d", len(ms), pubs, len(ms))
 	}
 	if cb, cs := batched.Counters(), serial.Counters(); cb != cs {
 		t.Errorf("counters diverge: batch %+v, serial %+v", cb, cs)

@@ -137,7 +137,7 @@ type Switch struct {
 	ufc       *microflow.Cache
 	deleted   map[string]bool // quirk: suppressed (key,mask) pairs
 	counters  Counters
-	batchPool sync.Pool // *[]tss.BatchResult scratch for ProcessBatch
+	batchPool sync.Pool // *[]tss.BatchResult scratch for ProcessBatchOn
 
 	// installFault, when non-nil, is consulted per attempted megaflow
 	// install; true fails the install (Counters.InstallErrors) while the
@@ -248,7 +248,7 @@ func (s *Switch) mfcLookup(hd *tss.Handle, h bitvec.Vec, now int64) (*tss.Entry,
 // miss it calls miss(i, probes) — i is the caller's index, probes the |M|
 // scan already spent — instead of classifying inline. miss == nil selects
 // the inline HandleMiss. Verdicts returned by a non-nil miss are recorded
-// verbatim and not counted here (see ProcessBatchFunc). hd optionally
+// verbatim and not counted here (see ProcessBatchOn). hd optionally
 // routes MFC probes through a per-worker classifier handle.
 func (s *Switch) processFunc(hd *tss.Handle, i int, h bitvec.Vec, now int64, miss func(i, probes int) Verdict) Verdict {
 	if miss == nil {
@@ -279,66 +279,55 @@ func (s *Switch) processFunc(hd *tss.Handle, i int, h bitvec.Vec, now int64, mis
 	return miss(i, s.mfc.MaskCount())
 }
 
-// ProcessBatch classifies a batch of headers at virtual time now and
+// ProcessBatchOn classifies a batch of headers at virtual time now and
 // returns one verdict per header, writing into out when it has sufficient
-// capacity (pass nil to allocate). It is exactly equivalent, verdict for
-// verdict and counter for counter, to calling Process on each header in
-// order — the equivalence tests in batch_test.go enforce this, because the
-// paper-figure reproductions depend on batch and serial runs agreeing.
+// capacity (pass nil to allocate). With miss == nil it is exactly
+// equivalent, verdict for verdict and counter for counter, to calling
+// Process on each header in order — the equivalence tests in batch_test.go
+// enforce this, because the paper-figure reproductions depend on batch and
+// serial runs agreeing.
+//
+// hd routes the megaflow probes through a per-worker classifier handle
+// (tss.Classifier.NewHandle): the PMD datapath passes each worker's handle
+// so scan statistics (probes, stage skips) accumulate in per-worker shards
+// instead of contending on shared counter cache lines. hd == nil uses the
+// classifier's default handle.
+//
+// miss factors the slow path out: when non-nil, a full-scan MFC miss on
+// hs[i] calls miss(i, probes) (probes = the |M| scan the miss already
+// paid) instead of classifying inline, and records the returned verdict.
+// This is the seam the upcall subsystem plugs into — the asynchronous
+// datapath turns each miss into a queued upcall here. Verdicts returned by
+// a non-nil miss are NOT added to the switch counters: an inline handler
+// (HandleMiss) counts itself, and a deferred handler's packet is counted
+// when the upcall is eventually handled — or accounted as an admission
+// drop by the upcall subsystem.
 //
 // In the PMD configuration (no microflow cache), the megaflow scan is
-// batched: runs of consecutive MFC hits are classified under a single
-// reader lock via tss.LookupBatch, and per-packet counter updates are
-// flushed once per batch. With the microflow cache enabled the layers are
+// batched: runs of consecutive MFC hits are classified over a single
+// snapshot via tss.LookupBatch, and per-packet counter updates are flushed
+// once per batch. With the microflow cache enabled the layers are
 // interleaved packet by packet (EMC FIFO eviction order is part of the
 // serial semantics), which is also how OVS's emc_processing walks a burst.
-// OrderHitCount and OrderProbeCost likewise fall back to the serial loop:
-// their scan orders re-sort between consecutive lookups, which a
-// shared-lock batch cannot reproduce.
-func (s *Switch) ProcessBatch(hs []bitvec.Vec, now int64, out []Verdict) []Verdict {
-	return s.ProcessBatchOn(nil, hs, now, out, nil)
-}
-
-// ProcessBatchFunc is ProcessBatch with the slow path factored out: when
-// miss is non-nil, a full-scan MFC miss on hs[i] calls miss(i, probes)
-// (probes = the |M| scan the miss already paid) instead of classifying
-// inline, and records the returned verdict. This is the seam the upcall
-// subsystem plugs into — the asynchronous datapath turns each miss into a
-// queued upcall here — while miss == nil selects the inline HandleMiss,
-// i.e. plain ProcessBatch.
-//
-// Verdicts returned by a non-nil miss are recorded verbatim and NOT added
-// to the switch counters: an inline handler (HandleMiss) counts itself,
-// and a deferred handler's packet is counted when the upcall is eventually
-// handled — or accounted as an admission drop by the upcall subsystem.
-func (s *Switch) ProcessBatchFunc(hs []bitvec.Vec, now int64, out []Verdict, miss func(i, probes int) Verdict) []Verdict {
-	return s.ProcessBatchOn(nil, hs, now, out, miss)
-}
-
-// ProcessBatchOn is ProcessBatchFunc with the megaflow probes routed
-// through a per-worker classifier handle (tss.Classifier.NewHandle): the
-// PMD datapath passes each worker's handle so scan statistics (probes,
-// stage skips) accumulate in per-worker shards instead of contending on
-// shared counter cache lines. hd == nil uses the classifier's default
-// handle; miss == nil selects the inline slow path.
+// OrderHitCount likewise falls back to the serial loop: its scan order
+// re-sorts between consecutive lookups, which a batch cannot reproduce.
 func (s *Switch) ProcessBatchOn(hd *tss.Handle, hs []bitvec.Vec, now int64, out []Verdict, miss func(i, probes int) Verdict) []Verdict {
 	if cap(out) < len(hs) {
 		out = make([]Verdict, len(hs))
 	}
 	out = out[:len(hs)]
-	if s.ufc != nil || s.cfg.DisableMegaflow ||
-		s.cfg.Order == tss.OrderHitCount || s.cfg.Order == tss.OrderProbeCost {
+	if s.ufc != nil || s.cfg.DisableMegaflow || s.cfg.Order == tss.OrderHitCount {
 		for i, h := range hs {
 			out[i] = s.processFunc(hd, i, h, now, miss)
 		}
 		return out
 	}
-	inline := miss == nil
-	if inline {
+	if miss == nil {
 		miss = func(i, _ int) Verdict { return s.HandleMiss(hs[i], now) }
 	}
-	res := s.getBatchResults(len(hs))
-	defer s.putBatchResults(res)
+	rp := s.getBatchResults(len(hs))
+	defer s.batchPool.Put(rp)
+	res := *rp
 	var delta Counters
 	i := 0
 	for i < len(hs) {
@@ -377,91 +366,39 @@ func (s *Switch) ProcessBatchOn(hd *tss.Handle, hs []bitvec.Vec, now int64, out 
 	return out
 }
 
-// HandleMiss runs the slow path for one header at virtual time now: it
-// classifies h against the flow table, installs the resulting megaflow,
-// and primes the microflow cache. This is the reusable miss-to-install
-// step: the synchronous pipeline reaches it inline through
-// Process/ProcessBatch, and the upcall subsystem's handler goroutines call
-// it when they drain a queued flow miss — the megaflow install then goes
-// through the classifier's writer mutex and publishes the next lock-free
-// snapshot; concurrent readers keep scanning the previous one.
-//
-// The installed megaflow is attributed to vport 0; the port-aware upcall
-// path uses HandleMissFrom.
+// HandleMiss runs the slow path for one header at virtual time now: a
+// one-miss HandleMissBatch attributed to vport 0. The synchronous pipeline
+// reaches it inline through Process/ProcessBatchOn.
 func (s *Switch) HandleMiss(h bitvec.Vec, now int64) Verdict {
-	return s.HandleMissFrom(0, h, now)
-}
-
-// HandleMissFrom is HandleMiss for a flow miss that arrived on ingress
-// vport port: the generated megaflow records the port (tss.Entry.Port), so
-// revalidator dumps can aggregate mask footprint and churn per port — the
-// statistic the adaptive per-port upcall quotas feed on.
-func (s *Switch) HandleMissFrom(port int, h bitvec.Vec, now int64) Verdict {
-	probes := s.mfc.MaskCount() // the miss already scanned every mask
-	tg := s.tg.Load()
-	gen, genSeq := tg.gen, tg.seq
-	e := gen.Generate(h)
-	e.Port = port
-	v := Verdict{Action: e.Action, OutPort: e.OutPort, Path: PathSlow, Probes: probes, Rule: e.RuleName}
-
-	s.mu.Lock()
-	suppressed := !s.cfg.NoRevalidatorQuirk && s.deleted[entryID(e)]
-	s.mu.Unlock()
-
-	switch {
-	case s.cfg.DisableMegaflow:
-		// Remedy (iii): no fast-path caching at all.
-	case suppressed:
-		s.addCounter(func(c *Counters) { c.Suppressed++ })
-	case s.cfg.MaxMegaflows > 0 && s.mfc.EntryCount() >= s.cfg.MaxMegaflows:
-		s.addCounter(func(c *Counters) { c.Rejected++ })
-	case s.installFault != nil && s.installFault(now):
-		s.addCounter(func(c *Counters) { c.InstallErrors++ })
-	default:
-		if err := s.mfc.Insert(e, now); err != nil {
-			// Megaflows generated from one table are disjoint by
-			// construction, so against a reconciled cache an overlap is a
-			// generator bug that must surface loudly. It is instead a
-			// benign race — counted, and reconciled by the next
-			// revalidation sweep — in exactly two situations: this
-			// classification ran under a generation that has since been
-			// swapped away, or the cache still holds old-generation
-			// entries because a SwapTable's revalidation is pending.
-			stale := s.tg.Load().seq != genSeq || s.revalPend.Load()
-			if !stale {
-				panic(fmt.Sprintf("vswitch: generated megaflow overlaps cache: %v", err))
-			}
-			s.addCounter(func(c *Counters) { c.Conflicts++ })
-			break
-		}
-		s.addCounter(func(c *Counters) { c.Installs++ })
-	}
-	if s.ufc != nil {
-		s.ufc.Insert(h, microflow.Result{Action: e.Action, OutPort: e.OutPort})
-	}
-	s.count(v)
-	return v
+	return s.HandleMissBatch([]Miss{{Header: h}}, now)[0]
 }
 
 // Miss is one flow miss of a handler-drain burst: the header plus the
 // ingress vport it arrived on.
 type Miss struct {
-	// Port is the ingress vport (megaflow attribution, see HandleMissFrom).
+	// Port is the ingress vport. The generated megaflow records it
+	// (tss.Entry.Port), so revalidator dumps can aggregate mask footprint
+	// and churn per port — the statistic the adaptive per-port upcall
+	// quotas feed on.
 	Port int
 	// Header is the missed packet's classifier key.
 	Header bitvec.Vec
 }
 
-// HandleMissBatch is the batched miss-to-install step: it classifies every
-// miss of a handler-drain burst against the flow table and commits the
-// resulting megaflows through one tss.InsertBatch transaction, so the
-// burst pays exactly one O(|M|) snapshot publish instead of one per
-// megaflow — the amortisation that caps the attack-regime writer bill
-// (each upcall of a TSE flood otherwise re-copies the whole inflated
-// probe mirror).
+// HandleMissBatch is the miss-to-install step, the one slow path every
+// execution mode reaches: it classifies every miss of a burst against the
+// flow table, installs the resulting megaflows, and primes the microflow
+// cache. The inline pipeline calls it with one miss (HandleMiss); the
+// upcall subsystem's handlers call it with each drained burst. The
+// megaflows are committed through one tss.InsertBatch transaction, which
+// goes through the classifier's writer mutex and publishes the next
+// lock-free snapshot (concurrent readers keep scanning the previous one),
+// so a burst pays exactly one O(|M|) publish instead of one per megaflow
+// — the amortisation that caps the attack-regime writer bill (each upcall
+// of a TSE flood otherwise re-copies the whole inflated probe mirror).
 //
-// Per-miss semantics match a HandleMiss sequence — same verdicts, same
-// counter totals (Slow/Installs/Suppressed/Rejected/Conflicts and the
+// Per-miss semantics match a sequence of one-miss calls — same verdicts,
+// same counter totals (Slow/Installs/Suppressed/Rejected/Conflicts and the
 // verdict partitions), same EMC priming — with two deliberate batch-grain
 // simplifications: every verdict reports the mask count at burst entry as
 // its Probes (the misses of one burst scanned essentially the same cache),
@@ -518,8 +455,14 @@ func (s *Switch) HandleMissBatch(ms []Miss, now int64) []Verdict {
 				delta.Installs++
 				continue
 			}
-			// Same overlap triage as HandleMiss: a benign cross-generation
-			// race is counted, anything else is a generator bug.
+			// Megaflows generated from one table are disjoint by
+			// construction, so against a reconciled cache an overlap is a
+			// generator bug that must surface loudly. It is instead a
+			// benign race — counted, and reconciled by the next
+			// revalidation sweep — in exactly two situations: this
+			// classification ran under a generation that has since been
+			// swapped away, or the cache still holds old-generation
+			// entries because a SwapTable's revalidation is pending.
 			stale := s.tg.Load().seq != genSeq || s.revalPend.Load()
 			if !stale {
 				panic(fmt.Sprintf("vswitch: generated megaflow overlaps cache: %v", err))
@@ -645,7 +588,7 @@ func (s *Switch) SwapTable(tbl *flowtable.Table) error {
 	}
 	// The mutex only serialises concurrent swappers (monotonic seq); the
 	// publication itself is the atomic store. revalPend is raised BEFORE
-	// the new generation is published: a HandleMiss that already observes
+	// the new generation is published: a miss install that already observes
 	// the new seq must also observe the pending flag, or its stale check
 	// would treat a legitimate old-generation overlap as a generator bug
 	// (the old code kept the pair consistent under one mutex section).
@@ -674,7 +617,7 @@ func (s *Switch) NeedsRevalidation() bool {
 // generation seq; it is a no-op if the table has moved on since, so a
 // sweep that raced another swap cannot mark the newer generation settled.
 // Once settled, the megaflow cache is disjoint-by-construction again and
-// an install overlap is treated as a generator bug (see HandleMiss).
+// an install overlap is treated as a generator bug (see HandleMissBatch).
 func (s *Switch) MarkRevalidated(seq uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -798,19 +741,20 @@ func (s *Switch) lookupBatch(hd *tss.Handle, hs []bitvec.Vec, now int64, out []t
 	return s.mfc.LookupBatch(hs, now, out)
 }
 
-// getBatchResults fetches a scratch slice for ProcessBatch, keeping the
-// per-burst hot path allocation-free.
-func (s *Switch) getBatchResults(n int) []tss.BatchResult {
-	if v := s.batchPool.Get(); v != nil {
-		if res := *v.(*[]tss.BatchResult); cap(res) >= n {
-			return res[:n]
-		}
+// getBatchResults fetches a pooled scratch slice of length n for
+// ProcessBatchOn. The pool round-trips the *[]tss.BatchResult itself
+// (never the address of a fresh slice header), so a warm burst allocates
+// nothing.
+func (s *Switch) getBatchResults(n int) *[]tss.BatchResult {
+	rp, _ := s.batchPool.Get().(*[]tss.BatchResult)
+	if rp == nil {
+		rp = new([]tss.BatchResult)
 	}
-	return make([]tss.BatchResult, n)
-}
-
-func (s *Switch) putBatchResults(res []tss.BatchResult) {
-	s.batchPool.Put(&res)
+	if cap(*rp) < n {
+		*rp = make([]tss.BatchResult, n)
+	}
+	*rp = (*rp)[:n]
+	return rp
 }
 
 // entryID keys a (key, mask) pair for the quirk ledger.
