@@ -203,8 +203,7 @@ func BenchmarkSec52AttackReplay(b *testing.B) {
 // (cheaply, without re-running the attack) before each timed sweep.
 func BenchmarkSec8GuardSweep(b *testing.B) {
 	tbl := flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{})
-	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true,
-		NoRevalidatorQuirk: true})
+	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -291,14 +290,12 @@ func BenchmarkAblationOverlapCheck(b *testing.B) {
 }
 
 // BenchmarkAblationMaskOrder compares the victim's lookup cost under
-// attack across mask scan orders (ablation: OVS's hit-count
-// sorting rescues a hot victim flow; hash order models the paper's
-// measured m/2 average).
+// attack across mask scan orders (hash order models the paper's measured
+// m/2 average; insertion order is the kernel datapath's mask list).
 func BenchmarkAblationMaskOrder(b *testing.B) {
 	orders := map[string]tss.MaskOrder{
 		"hash":      tss.OrderHash,
 		"insertion": tss.OrderInsertion,
-		"hitcount":  tss.OrderHitCount,
 	}
 	for name, order := range orders {
 		b.Run(name, func(b *testing.B) {
@@ -311,10 +308,6 @@ func BenchmarkAblationMaskOrder(b *testing.B) {
 			sw.Process(victim, 0)
 			tr, _ := core.CoLocated(tbl, core.CoLocatedOptions{})
 			core.Replay(sw, tr, 0)
-			// Warm the hit-count order.
-			for i := 0; i < 100; i++ {
-				sw.MFC().Lookup(victim, 0)
-			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

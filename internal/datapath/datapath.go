@@ -8,7 +8,7 @@
 //   - RSS-style dispatch: the NIC hashes each packet's flow key and steers
 //     it to a fixed worker, so one flow's packets always hit the same EMC.
 //   - Batch processing: each worker drains its share of a dispatch in
-//     bursts of BatchSize packets (OVS's NETDEV_MAX_BURST of 32), EMC
+//     bursts of DefaultBatchSize packets (OVS's NETDEV_MAX_BURST of 32), EMC
 //     prepass first, then the shared megaflow classifier via the batched
 //     switch path.
 //
@@ -45,9 +45,6 @@ type Config struct {
 	Switch *vswitch.Switch
 	// Workers is the number of PMD workers; <= 0 selects 1.
 	Workers int
-	// BatchSize is the per-worker burst size; <= 0 selects
-	// DefaultBatchSize.
-	BatchSize int
 	// EMCCapacity sizes each worker's private exact-match cache; <= 0
 	// selects the microflow default ("a couple of hundred entries").
 	EMCCapacity int
@@ -154,7 +151,6 @@ type PortStats struct {
 // of one dispatch run concurrently against the shared switch).
 type Pool struct {
 	sw          *vswitch.Switch
-	batch       int
 	ports       int
 	workers     []*worker
 	assign      []int // per-header worker index of the latest dispatch
@@ -251,13 +247,10 @@ func New(cfg Config) (*Pool, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = DefaultBatchSize
-	}
 	if cfg.Ports <= 0 {
 		cfg.Ports = cfg.Workers
 	}
-	p := &Pool{sw: cfg.Switch, batch: cfg.BatchSize, ports: cfg.Ports,
+	p := &Pool{sw: cfg.Switch, ports: cfg.Ports,
 		srcByWorker: cfg.SourceByWorker}
 	if cfg.Metrics != nil {
 		p.tm = newPoolMetrics(cfg.Metrics)
@@ -456,9 +449,8 @@ func (p *Pool) Assignments() []int { return p.assign }
 // run drains the worker's shard in bursts. deferred selects the
 // fire-and-forget upcall mode (see ProcessBatchDeferredPorts).
 func (w *worker) run(p *Pool, now int64, out []vswitch.Verdict, deferred bool) {
-	batch := p.batch
-	for start := 0; start < len(w.shardHs); start += batch {
-		end := start + batch
+	for start := 0; start < len(w.shardHs); start += DefaultBatchSize {
+		end := start + DefaultBatchSize
 		if end > len(w.shardHs) {
 			end = len(w.shardHs)
 		}

@@ -18,25 +18,18 @@ import (
 // the paper's testbed see"; the replay mode answers "what does *this*
 // implementation actually sustain".
 
-// ReplayConfig describes one wall-clock replay run.
+// ReplayConfig describes one wall-clock replay run. The tenant ACL is
+// SipSpDp, the pool has one vport per in_port up to the trace's largest,
+// and the switch's idle-expiry sweep runs at trace tick transitions.
 type ReplayConfig struct {
-	// Use selects the tenant ACL (SipSpDp when zero-valued and Table is
-	// nil).
-	Use flowtable.UseCase
-	// Table overrides the ACL; when nil it is built from Use.
-	Table *flowtable.Table
 	// Workers is the PMD pool size (1 when <= 0).
 	Workers int
-	// Ports is the vport count (4 when <= 0); must cover the trace's
-	// in_port values.
-	Ports int
-	// Chunk is the records decoded per dispatch (trace.DefaultChunk when
-	// <= 0).
-	Chunk int
-	// TickSwitch runs the switch's idle-expiry sweep at trace tick
-	// transitions.
-	TickSwitch bool
 }
+
+// maxReplayPorts bounds the vport count a trace may ask for: in_port is
+// a uint32 read from an untrusted file, and the pool allocates per-port
+// counters for every vport up to the largest one.
+const maxReplayPorts = 4096
 
 // ReplayReport is the outcome of a replay run.
 type ReplayReport struct {
@@ -52,33 +45,22 @@ type ReplayReport struct {
 }
 
 // buildReplayPipeline assembles the switch, pool and replayer for one
-// run.
-func buildReplayPipeline(cfg ReplayConfig) (*vswitch.Switch, *datapath.Pool, *trace.Replayer, error) {
-	tbl := cfg.Table
-	if tbl == nil {
-		use := cfg.Use
-		if cfg.Use == flowtable.Baseline {
-			use = flowtable.SipSpDp
-		}
-		tbl = flowtable.UseCaseACL(use, flowtable.ACLParams{})
+// run over a trace whose largest in_port is maxPort.
+func buildReplayPipeline(cfg ReplayConfig, maxPort uint64) (*vswitch.Switch, *datapath.Pool, *trace.Replayer, error) {
+	if maxPort >= maxReplayPorts {
+		return nil, nil, nil, fmt.Errorf("dataplane: trace in_port %d exceeds the %d-vport bound",
+			maxPort, maxReplayPorts)
 	}
+	tbl := flowtable.UseCaseACL(flowtable.SipSpDp, flowtable.ACLParams{})
 	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	workers, ports := cfg.Workers, cfg.Ports
-	if workers <= 0 {
-		workers = 1
-	}
-	if ports <= 0 {
-		ports = 4
-	}
-	pool, err := datapath.New(datapath.Config{Switch: sw, Workers: workers, Ports: ports})
+	pool, err := datapath.New(datapath.Config{Switch: sw, Workers: cfg.Workers, Ports: int(maxPort) + 1})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	rr := &trace.Replayer{Pool: pool, Chunk: cfg.Chunk, TickSwitch: cfg.TickSwitch}
-	return sw, pool, rr, nil
+	return sw, pool, &trace.Replayer{Pool: pool, TickSwitch: true}, nil
 }
 
 func replayReport(sw *vswitch.Switch, res trace.Result) *ReplayReport {
@@ -93,7 +75,7 @@ func replayReport(sw *vswitch.Switch, res trace.Result) *ReplayReport {
 
 // RunReplay replays rd through a freshly built pipeline.
 func RunReplay(cfg ReplayConfig, rd *trace.Reader) (*ReplayReport, error) {
-	sw, pool, rr, err := buildReplayPipeline(cfg)
+	sw, pool, rr, err := buildReplayPipeline(cfg, uint64(rd.MaxPort()))
 	if err != nil {
 		return nil, err
 	}
@@ -105,7 +87,13 @@ func RunReplay(cfg ReplayConfig, rd *trace.Reader) (*ReplayReport, error) {
 // pipeline — the never-encoded side of the replay-vs-synthetic identity
 // check the replay experiment reports.
 func RunReplayRecords(cfg ReplayConfig, ticks []int64, ports []int, keys []bitvec.Vec) (*ReplayReport, error) {
-	sw, pool, rr, err := buildReplayPipeline(cfg)
+	var maxPort uint64 // a negative port wraps past the bound
+	for _, p := range ports {
+		if uint64(p) > maxPort {
+			maxPort = uint64(p)
+		}
+	}
+	sw, pool, rr, err := buildReplayPipeline(cfg, maxPort)
 	if err != nil {
 		return nil, err
 	}

@@ -47,8 +47,6 @@ type UpcallParams struct {
 	// upcalls/s (Fig. 9c). Drained upcalls resolve in bursts that share
 	// one megaflow-install transaction (upcall.Options.HandlerBurst).
 	HandledPerSec int
-	// DisableDedup turns off flow-miss deduplication (ablation).
-	DisableDedup bool
 	// RevalidateSec is the revalidator cadence in virtual seconds; <= 0
 	// selects 1. The revalidator replaces the inline Switch.Tick idle
 	// expiry and additionally re-checks entries against the current flow
@@ -66,22 +64,13 @@ type UpcallParams struct {
 	// respawned and their orphaned in-flight upcalls leak in the pending
 	// table (see upcall.Options.DisableSupervisor).
 	DisableSupervisor bool
-	// FailOrphans fails orphaned in-flight upcalls with an error verdict
-	// instead of requeueing them.
-	FailOrphans bool
 	// PendingAgeSec is the revalidator's orphaned-pending-entry reap
 	// horizon (upcall.RevalidatorConfig.PendingAgeSec semantics: 0
 	// defaults, negative disables).
 	PendingAgeSec int64
-	// BreakerSLOSec enables the per-port SLO circuit breaker at the given
-	// backlog-residence p99 SLO; TripAfter, BreakerCooldownSec,
-	// HalfOpenProbes and BreakerEWMAAlpha refine it (upcall.Breaker
-	// semantics; zero values select the upcall defaults).
-	BreakerSLOSec      int64
-	TripAfter          int
-	BreakerCooldownSec int64
-	HalfOpenProbes     int
-	BreakerEWMAAlpha   float64
+	// Breaker configures the per-port SLO circuit breaker; the zero value
+	// (SLOSec == 0) disables it.
+	Breaker upcall.Breaker
 	// Faults is the optional deterministic fault schedule, threaded into
 	// the upcall subsystem (handler panics/stalls, delivery faults), the
 	// revalidator (sweep stalls) and the switch (install errors).
@@ -213,22 +202,14 @@ func (sc *Scenario) runAsync(perCore float64) ([]Sample, error) {
 		Upcall: &upcall.Options{
 			QueueCap:          up.QueueCap,
 			QuotaPerSource:    quota,
-			DisableDedup:      up.DisableDedup,
 			ModelledHandlers:  up.ModelledHandlers,
 			StallTimeoutSec:   up.StallTimeoutSec,
 			DisableSupervisor: up.DisableSupervisor,
-			FailOrphans:       up.FailOrphans,
 			Injector:          up.Faults,
-			Breaker: upcall.Breaker{
-				SLOSec:         up.BreakerSLOSec,
-				TripAfter:      up.TripAfter,
-				CooldownSec:    up.BreakerCooldownSec,
-				HalfOpenProbes: up.HalfOpenProbes,
-				EWMAAlpha:      up.BreakerEWMAAlpha,
-			},
-			Metrics: reg,
-			Journal: journal,
-			Tracer:  tracer,
+			Breaker:           up.Breaker,
+			Metrics:           reg,
+			Journal:           journal,
+			Tracer:            tracer,
 		},
 		DisableEMC: true,
 	})

@@ -792,7 +792,7 @@ func BenchJSON() (*BenchReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := dataplane.RunReplay(dataplane.ReplayConfig{TickSwitch: true}, rd)
+		res, err := dataplane.RunReplay(dataplane.ReplayConfig{}, rd)
 		if err != nil {
 			return nil, err
 		}

@@ -28,8 +28,7 @@ func RunTraceReplay(w io.Writer, path string, workers int) error {
 	}
 	defer rd.Close()
 	fmt.Fprintf(w, "replaying %s: %d records, layout %s\n", path, rd.Count(), rd.LayoutString())
-	rep, err := dataplane.RunReplay(dataplane.ReplayConfig{
-		Workers: workers, TickSwitch: true}, rd)
+	rep, err := dataplane.RunReplay(dataplane.ReplayConfig{Workers: workers}, rd)
 	if err != nil {
 		return err
 	}
@@ -54,7 +53,7 @@ func runReplay(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		rep, err := dataplane.RunReplay(dataplane.ReplayConfig{TickSwitch: true}, rd)
+		rep, err := dataplane.RunReplay(dataplane.ReplayConfig{}, rd)
 		if err != nil {
 			return err
 		}
@@ -78,7 +77,7 @@ func runReplay(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	traceRep, err := dataplane.RunReplay(dataplane.ReplayConfig{TickSwitch: true}, rd)
+	traceRep, err := dataplane.RunReplay(dataplane.ReplayConfig{}, rd)
 	if err != nil {
 		return err
 	}
@@ -94,7 +93,7 @@ func runReplay(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	synthRep, err := dataplane.RunReplayRecords(dataplane.ReplayConfig{TickSwitch: true},
+	synthRep, err := dataplane.RunReplayRecords(dataplane.ReplayConfig{},
 		ticks, ports, keys)
 	if err != nil {
 		return err

@@ -147,6 +147,20 @@ func (r *Reader) Reset() { r.next = 0 }
 // decoded.
 func (r *Reader) Remaining() uint64 { return r.count - r.next }
 
+// MaxPort returns the largest in_port among the records the cursor has
+// not yet decoded (0 when there are none), read in place from the record
+// region without moving the cursor. Replay sizes its vport pool from it.
+func (r *Reader) MaxPort() uint32 {
+	rs := recordSize(r.words)
+	var hi uint32
+	for off := int(r.next) * rs; off < int(r.count)*rs; off += rs {
+		if p := binary.LittleEndian.Uint32(r.recs[off+4:]); p > hi {
+			hi = p
+		}
+	}
+	return hi
+}
+
 // Next decodes up to b.Cap() records into b and returns the number
 // decoded; 0 means end of trace. It performs no allocation: ticks,
 // ports and key words are written into the batch's preallocated columns

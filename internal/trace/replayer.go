@@ -9,8 +9,8 @@ import (
 )
 
 // DefaultChunk is the number of records decoded per dispatch. The pool
-// still bursts at its own BatchSize (32, NETDEV_MAX_BURST) inside each
-// dispatch; the larger decode chunk amortises shard setup and — on a
+// still bursts at datapath.DefaultBatchSize (32, NETDEV_MAX_BURST) inside
+// each dispatch; the larger decode chunk amortises shard setup and — on a
 // multi-worker pool — goroutine handoff across many bursts, the way a
 // PMD's rx ring amortises doorbell costs over many descriptors.
 const DefaultChunk = 1024

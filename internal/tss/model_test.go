@@ -54,7 +54,7 @@ func (m *model) delete(key, mask bitvec.Vec) bool {
 // sequences through the classifier and the reference model in lockstep.
 func TestModelBasedRandomOps(t *testing.T) {
 	l := bitvec.HYP2
-	for _, order := range []MaskOrder{OrderHash, OrderInsertion, OrderHitCount} {
+	for _, order := range []MaskOrder{OrderHash, OrderInsertion} {
 		rng := rand.New(rand.NewSource(int64(order)*7 + 1))
 		c := New(l, Options{Order: order})
 		m := &model{}

@@ -180,42 +180,3 @@ func TestSnapshotConsistencyUnderWrites(t *testing.T) {
 		}
 	}
 }
-
-// TestSnapshotOrderHitCountConcurrent exercises the TryLock-based lazy
-// resort under concurrent readers: hammering distinct entries from many
-// goroutines must neither deadlock nor lose hit accounting.
-func TestSnapshotOrderHitCountConcurrent(t *testing.T) {
-	c := New(bitvec.HYP, Options{Order: OrderHitCount})
-	loadFig3(t, c)
-	var wg sync.WaitGroup
-	const (
-		goroutines = 8
-		lookups    = 2000
-	)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			hd := c.NewHandle()
-			for i := 0; i < lookups; i++ {
-				hd.Lookup(hyp(uint64((g+i)%8)), int64(i))
-			}
-		}(g)
-	}
-	wg.Wait()
-	s := c.Stats()
-	if s.Lookups != goroutines*lookups {
-		t.Errorf("lookups = %d, want %d", s.Lookups, goroutines*lookups)
-	}
-	if s.Lookups != s.Hits+s.Misses {
-		t.Errorf("lookups %d != hits %d + misses %d", s.Lookups, s.Hits, s.Misses)
-	}
-	// Hammer one mask and confirm the resort still promotes it.
-	for i := 0; i < 50000; i++ {
-		c.Lookup(hyp(4), 0)
-	}
-	c.Lookup(hyp(4), 0)
-	if _, probes, ok := c.Lookup(hyp(4), 0); !ok || probes != 1 {
-		t.Errorf("hot mask not front-sorted after concurrent phase: probes=%d ok=%v", probes, ok)
-	}
-}

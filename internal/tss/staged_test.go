@@ -52,7 +52,7 @@ func randomHeader(rng *rand.Rand, l *bitvec.Layout) bitvec.Vec {
 }
 
 // TestStagedLookupEquivalence is the staged-vs-unstaged property: for
-// randomized rule/mask/priority sets under all three mask orders, the
+// randomized rule/mask/priority sets under both mask orders, the
 // staged lookup returns the identical entry, the identical probe count,
 // and identical hit accounting as the unstaged full probe. Headers are a
 // mix of uniform random (mostly misses) and per-entry near-matches
@@ -60,7 +60,7 @@ func randomHeader(rng *rand.Rand, l *bitvec.Layout) bitvec.Vec {
 // filters' late stages).
 func TestStagedLookupEquivalence(t *testing.T) {
 	for _, l := range []*bitvec.Layout{bitvec.IPv4Tuple, bitvec.IPv6Tuple} {
-		for _, order := range []MaskOrder{OrderHash, OrderInsertion, OrderHitCount} {
+		for _, order := range []MaskOrder{OrderHash, OrderInsertion} {
 			t.Run(fmt.Sprintf("%s/order=%d", l, order), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(42 + int64(order)))
 				staged, unstaged, ref := buildRandomPair(rng, l, order, 200)
@@ -169,29 +169,18 @@ func FuzzStagedEquivalence(f *testing.F) {
 	})
 }
 
-// TestStagedCustomBoundaries exercises the Options.Stages override: word-
-// granular stages must classify identically to the derived boundaries.
+// TestStagedCustomBoundaries checks that stage boundaries come from the
+// layout: a multi-stage layout stages its probes, and a layout with a
+// single derived stage disables staging.
 func TestStagedCustomBoundaries(t *testing.T) {
-	l := bitvec.IPv4Tuple
-	rng := rand.New(rand.NewSource(9))
-	def := New(l, Options{})
-	custom := New(l, Options{Stages: []int{1, 2}}) // same as derived for IPv4
-	degenerate := New(l, Options{Stages: []int{2}})
-	if !def.Staged() || !custom.Staged() {
-		t.Fatal("staging should be on")
+	if !New(bitvec.IPv4Tuple, Options{}).Staged() {
+		t.Error("staging should be on for a multi-stage layout")
 	}
-	if degenerate.Staged() {
-		t.Error("single-stage override should disable staging")
+	if got := bitvec.HYP.StageBoundaries(); len(got) != 1 {
+		t.Fatalf("HYP stage boundaries = %v, want one stage", got)
 	}
-	populateDistinctMasks(def, l, 64)
-	populateDistinctMasks(custom, l, 64)
-	for i := 0; i < 200; i++ {
-		h := randomHeader(rng, l)
-		_, p1, ok1 := def.Lookup(h, 0)
-		_, p2, ok2 := custom.Lookup(h, 0)
-		if p1 != p2 || ok1 != ok2 {
-			t.Fatalf("derived vs custom boundaries diverge: (%d,%v) vs (%d,%v)", p1, ok1, p2, ok2)
-		}
+	if New(bitvec.HYP, Options{}).Staged() {
+		t.Error("single-stage layout should disable staging")
 	}
 }
 

@@ -49,8 +49,8 @@ import (
 // paper's measurements (§5.4: "the flow completion time only increases half
 // as high as the number of MFC masks") correspond to the victim's mask
 // sitting at a uniformly random position in the scan, which OrderHash
-// models deterministically. OrderInsertion and OrderHitCount exist for
-// ablation (OVS's userspace dpcls sorts its subtables by hit count).
+// models deterministically. OrderInsertion models the kernel datapath's
+// oldest-first mask list (Fig. 8c).
 type MaskOrder int
 
 const (
@@ -60,9 +60,6 @@ const (
 	OrderHash MaskOrder = iota
 	// OrderInsertion scans masks oldest-first.
 	OrderInsertion
-	// OrderHitCount scans masks most-hit-first, re-sorted lazily. Models
-	// the OVS userspace classifier's pvector priority optimisation.
-	OrderHitCount
 )
 
 // Entry is one megaflow: a disjoint key-mask pair with a cached action.
@@ -133,9 +130,7 @@ func (f *stageFilter) has(h uint64) bool { return f[(h>>6)&3]>>(h&63)&1 == 1 }
 //
 // Groups are copy-on-write: once a snapshot referencing the group has been
 // published (frozen == true), writers clone the group before mutating it,
-// so concurrent readers always scan a consistent slot array. The hits
-// counter is shared across clones through a pointer so no hit accounting
-// is lost when a group is copied.
+// so concurrent readers always scan a consistent slot array.
 type group struct {
 	// slots and sparse lead the struct so a lookup probe's loads stay
 	// within the group's first cache lines.
@@ -159,8 +154,6 @@ type group struct {
 	hash    uint64
 	words   []int // nonzero word indices of mask, in order
 	n       int
-	hits    *uint64 // shared across copy-on-write clones
-	seq     int
 }
 
 // slot is one open-addressing cell: the key's fingerprint (keyHash) for a
@@ -177,15 +170,13 @@ const minGroupSlots = 8
 // newGroup builds an empty group for the (already cloned) mask. stages is
 // the classifier's staged-lookup word boundary list (nil when staging is
 // off).
-func newGroup(mask bitvec.Vec, maskKey string, seq int, stages []int) *group {
+func newGroup(mask bitvec.Vec, maskKey string, stages []int) *group {
 	g := &group{
 		mask:    mask,
 		maskKey: maskKey,
 		hash:    mask.Hash(),
 		words:   mask.NonzeroWords(),
 		slots:   make([]slot, minGroupSlots),
-		hits:    new(uint64),
-		seq:     seq,
 	}
 	g.sparse, g.sparseOK = bitvec.NewSparseMask(mask)
 	if g.sparseOK && len(stages) > 1 {
@@ -221,8 +212,8 @@ func buildStageOff(sp *bitvec.SparseMask, bounds []int) []uint8 {
 }
 
 // clone returns a mutable copy of the group sharing the immutable pieces
-// (mask, words, stage offsets, hit counter) and copying everything a
-// writer mutates in place (slot array, Bloom filters, counts).
+// (mask, words, stage offsets) and copying everything a writer mutates in
+// place (slot array, Bloom filters, counts).
 func (g *group) clone() *group {
 	ng := *g
 	ng.slots = append([]slot(nil), g.slots...)
@@ -488,11 +479,6 @@ type Options struct {
 	// is what the staged-vs-unstaged ablation and the equivalence tests
 	// measure against.
 	DisableStagedLookup bool
-	// Stages overrides the staged-lookup word boundaries (ascending,
-	// final element = layout words). nil derives them from the layout's
-	// field names (metadata → L2 → L3 → L4, bitvec.Layout.StageBoundaries),
-	// which is what OVS's flow-struct offsets hard-code.
-	Stages []int
 }
 
 // statShard is one reader handle's private counter block, padded to a
@@ -523,20 +509,18 @@ type Handle struct {
 // groups they touch (copy-on-write), and publish the next snapshot
 // atomically.
 type Classifier struct {
-	mu      sync.Mutex // serialises writers; readers never take it
-	layout  *bitvec.Layout
-	groups  []*group    // authoritative scan order (writer-side)
-	probes  []scanProbe // mirror of groups' probe records, kept in sync
-	thawed  []*group    // groups created/cloned since the last publish
-	byMask  map[string]*group
-	nEntry  int
-	nextSeq int
-	opts    Options
-	stages  []int // staged-lookup word boundaries; nil = staging off
-	staged  bool
+	mu     sync.Mutex // serialises writers; readers never take it
+	layout *bitvec.Layout
+	groups []*group    // authoritative scan order (writer-side)
+	probes []scanProbe // mirror of groups' probe records, kept in sync
+	thawed []*group    // groups created/cloned since the last publish
+	byMask map[string]*group
+	nEntry int
+	opts   Options
+	stages []int // staged-lookup word boundaries; nil = staging off
+	staged bool
 
-	snap  atomic.Pointer[snapshot]
-	dirty atomic.Bool // OrderHitCount needs re-sort
+	snap atomic.Pointer[snapshot]
 
 	def      *Handle
 	shardsMu sync.Mutex
@@ -548,8 +532,8 @@ type Classifier struct {
 // snapshot is one immutable published scan state: the flat probe list in
 // scan order (each record carries its group pointer, so the dump-style
 // readers walk the same slice). Readers obtained it from the atomic
-// pointer; nothing in it is mutated after publication (entry and hit
-// counters are updated atomically through shared pointers).
+// pointer; nothing in it is mutated after publication (entry counters are
+// updated atomically through shared pointers).
 type snapshot struct {
 	probes []scanProbe
 	nEntry int
@@ -563,11 +547,10 @@ type snapshot struct {
 // nonzero mask word and the entry's key word under it sit in the record
 // itself, so the staged probe decides most misses with a single AND and
 // compare against streamed bytes, never dereferencing the group. The
-// record is kept to 48 bytes deliberately — the 4096-mask scan is memory-
+// record is kept to 40 bytes deliberately — the 4096-mask scan is memory-
 // bandwidth-bound, so bytes per probe matter more than instructions.
 type scanProbe struct {
-	e0   *Entry  // sole entry of a one-entry inline-mask group, else nil
-	hits *uint64 // group hit counter, shared across snapshots
+	e0   *Entry // sole entry of a one-entry inline-mask group, else nil
 	g    *group
 	mw0  uint64 // first nonzero mask word of the solo group's mask
 	kw0  uint64 // solo entry's key word under mw0
@@ -579,7 +562,7 @@ type scanProbe struct {
 // Writers call it whenever a group's membership or solo entry changes,
 // keeping the writer-side probe mirror in sync with c.groups.
 func buildProbe(g *group) scanProbe {
-	p := scanProbe{g: g, hits: g.hits}
+	p := scanProbe{g: g}
 	if g.sparseOK && g.solo != nil {
 		p.e0 = g.solo
 		p.n = uint8(g.sparse.N())
@@ -647,10 +630,7 @@ func New(l *bitvec.Layout, opts Options) *Classifier {
 		byMask: make(map[string]*group),
 		opts:   opts,
 	}
-	bounds := opts.Stages
-	if bounds == nil {
-		bounds = l.StageBoundaries()
-	}
+	bounds := l.StageBoundaries()
 	if !opts.DisableStagedLookup && len(bounds) > 1 {
 		c.stages = bounds
 		c.staged = true
@@ -687,9 +667,7 @@ func (c *Classifier) Lookup(h bitvec.Vec, now int64) (*Entry, int, bool) {
 
 // Lookup is Classifier.Lookup recording statistics in the handle's shard.
 func (hd *Handle) Lookup(h bitvec.Vec, now int64) (*Entry, int, bool) {
-	c := hd.c
-	c.maybeResort()
-	return hd.lookupSnap(c.snap.Load(), h, now)
+	return hd.lookupSnap(hd.c.snap.Load(), h, now)
 }
 
 // lookupSnap runs Algorithm 1 over one snapshot: for M ∈ M, look up
@@ -699,8 +677,7 @@ func (hd *Handle) Lookup(h bitvec.Vec, now int64) (*Entry, int, bool) {
 // is atomic so any number of readers may run concurrently; scan
 // statistics go to the handle's private shard.
 func (hd *Handle) lookupSnap(sn *snapshot, h bitvec.Vec, now int64) (*Entry, int, bool) {
-	c := hd.c
-	staged := c.staged
+	staged := hd.c.staged
 	probes, skips := 0, 0
 	for k := range sn.probes {
 		p := &sn.probes[k]
@@ -745,10 +722,6 @@ func (hd *Handle) lookupSnap(sn *snapshot, h bitvec.Vec, now int64) (*Entry, int
 		if e != nil {
 			atomic.AddUint64(&e.Hits, 1)
 			atomic.StoreInt64(&e.LastUsed, now)
-			atomic.AddUint64(p.hits, 1)
-			if c.opts.Order == OrderHitCount {
-				c.dirty.Store(true)
-			}
 			sh := hd.sh
 			atomic.AddUint64(&sh.lookups, 1)
 			atomic.AddUint64(&sh.hits, 1)
@@ -784,10 +757,6 @@ type BatchResult struct {
 // exactly equivalent, header for header, to the same sequence of Lookup
 // calls: the caller resolves the miss (out[n-1].OK == false) and re-enters
 // with the remainder of the batch.
-//
-// Under OrderHitCount the scan order re-sorts at batch boundaries rather
-// than between every pair of packets (as OVS's pvector does); OrderHash and
-// OrderInsertion are unaffected.
 func (c *Classifier) LookupBatch(hs []bitvec.Vec, now int64, out []BatchResult) int {
 	return c.def.LookupBatch(hs, now, out)
 }
@@ -798,9 +767,7 @@ func (hd *Handle) LookupBatch(hs []bitvec.Vec, now int64, out []BatchResult) int
 	if len(hs) == 0 {
 		return 0
 	}
-	c := hd.c
-	c.maybeResort()
-	sn := c.snap.Load()
+	sn := hd.c.snap.Load()
 	n := 0
 	for _, h := range hs {
 		e, probes, ok := hd.lookupSnap(sn, h, now)
@@ -824,19 +791,6 @@ func (hd *Handle) Stats() Stats {
 		Misses:     atomic.LoadUint64(&hd.sh.misses),
 		Probes:     atomic.LoadUint64(&hd.sh.probes),
 		StageSkips: atomic.LoadUint64(&hd.sh.stageSkips),
-	}
-}
-
-// maybeResort restores hit-count order before a read-path
-// scan. At most one reader performs the re-sort (TryLock); everyone else
-// proceeds with the current snapshot, so the read path never blocks on the
-// writer lock. OrderHash and OrderInsertion never enter it.
-func (c *Classifier) maybeResort() {
-	if c.opts.Order == OrderHitCount && c.dirty.Load() {
-		if c.mu.TryLock() {
-			c.resortLocked()
-			c.mu.Unlock()
-		}
 	}
 }
 
@@ -950,8 +904,7 @@ func (c *Classifier) insertLocked(e *Entry, now int64) error {
 	}
 	e.LastUsed = now
 	if g == nil {
-		g = newGroup(e.Mask.Clone(), mk, c.nextSeq, c.stages)
-		c.nextSeq++
+		g = newGroup(e.Mask.Clone(), mk, c.stages)
 		c.byMask[mk] = g
 		c.thawed = append(c.thawed, g)
 		g.put(e)
@@ -1015,27 +968,6 @@ func (c *Classifier) placeLocked() {
 	c.probes = append(c.probes, scanProbe{})
 	copy(c.probes[pos+1:], c.probes[pos:len(c.probes)-1])
 	c.probes[pos] = buildProbe(g)
-	if c.opts.Order == OrderHitCount {
-		// Appended for now; the lazy resort restores the measured order.
-		c.dirty.Store(true)
-	}
-}
-
-// resortLocked re-sorts the hit-count scan order lazily, rebuilds the
-// probe mirror, and publishes the re-ordered snapshot.
-func (c *Classifier) resortLocked() {
-	if c.opts.Order != OrderHitCount || !c.dirty.Load() {
-		return
-	}
-	sort.SliceStable(c.groups, func(i, j int) bool {
-		return atomic.LoadUint64(c.groups[i].hits) > atomic.LoadUint64(c.groups[j].hits)
-	})
-	c.probes = c.probes[:0]
-	for _, g := range c.groups {
-		c.probes = append(c.probes, buildProbe(g))
-	}
-	c.publishLocked()
-	c.dirty.Store(false)
 }
 
 // Delete removes the entry with exactly the given key and mask. It reports
@@ -1190,11 +1122,16 @@ func (c *Classifier) Dump(w io.Writer, l *bitvec.Layout) {
 	sn := c.snap.Load()
 	for i := range sn.probes {
 		g := sn.probes[i].g
-		fmt.Fprintf(w, "mask %d/%d: %s (%d entries, %d hits)\n",
-			i+1, len(sn.probes), g.mask.Format(l), g.n, atomic.LoadUint64(g.hits))
 		var es []*Entry
-		g.each(func(e *Entry) bool { es = append(es, snapshotEntry(e)); return true })
+		var hits uint64
+		g.each(func(e *Entry) bool {
+			es = append(es, snapshotEntry(e))
+			hits += es[len(es)-1].Hits
+			return true
+		})
 		sort.Slice(es, func(a, b int) bool { return es[a].Key.Key() < es[b].Key.Key() })
+		fmt.Fprintf(w, "mask %d/%d: %s (%d entries, %d hits)\n",
+			i+1, len(sn.probes), g.mask.Format(l), g.n, hits)
 		for _, e := range es {
 			fmt.Fprintf(w, "  %s hits=%d last=%d rule=%s\n",
 				bitvec.FormatMasked(l, e.Key, e.Mask), e.Hits, e.LastUsed, e.RuleName)
@@ -1207,7 +1144,6 @@ func (c *Classifier) Dump(w io.Writer, l *bitvec.Layout) {
 // costs exactly this many probes; the dataplane simulator uses it to price
 // the victim's traffic.
 func (c *Classifier) ProbePosition(mask bitvec.Vec) int {
-	c.maybeResort()
 	sn := c.snap.Load()
 	mk := mask.Key()
 	for i := range sn.probes {

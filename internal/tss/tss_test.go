@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"tse/internal/bitvec"
 	"tse/internal/flowtable"
@@ -317,109 +318,11 @@ func TestMaskOrderInsertion(t *testing.T) {
 	}
 }
 
-func TestMaskOrderHitCount(t *testing.T) {
-	c := New(bitvec.HYP, Options{Order: OrderHitCount})
-	loadFig3(t, c)
-	// Hammer header 100 (mask 100): its mask should migrate to front.
-	for i := 0; i < 10; i++ {
-		c.Lookup(hyp(4), 0)
-	}
-	_, probes, ok := c.Lookup(hyp(4), 0)
-	if !ok || probes != 1 {
-		t.Errorf("hot mask not front-sorted: probes = %d", probes)
-	}
-}
-
-// TestMaskOrderHitCountStableTie: at equal hit counts the hit-count resort
-// is stable, so the mask inserted first keeps the front of the scan.
-func TestMaskOrderHitCountStableTie(t *testing.T) {
-	l := bitvec.IPv4Tuple
-	sip, _ := l.FieldIndex("ip_src")
-	wide := bitvec.FullMask(l)
-	wideKey := bitvec.NewVec(l)
-	wideKey.SetField(l, sip, 0x02000000)
-	narrow := bitvec.PrefixMask(l, sip, 8)
-	narrowKey := bitvec.NewVec(l)
-	narrowKey.SetField(l, sip, 0x01000000)
-
-	c := New(l, Options{Order: OrderHitCount, DisableStagedLookup: true})
-	if err := c.Insert(&Entry{Key: wideKey.And(wide), Mask: wide, Action: flowtable.Allow}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Insert(&Entry{Key: narrowKey.And(narrow), Mask: narrow, Action: flowtable.Allow}, 0); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		c.Lookup(wideKey, 1)
-		c.Lookup(narrowKey, 1)
-	}
-	c.Lookup(bitvec.NewVec(l), 2) // trigger the lazy resort
-	if masks := c.Masks(); !masks[0].Equal(wide) {
-		t.Error("OrderHitCount broke its stable tie (expected insertion order)")
-	}
-}
-
-// TestProbePositionHitCountResort: ProbePosition must observe the lazily
-// re-sorted order under OrderHitCount — a hammered mask's position moves to
-// the front even when the resort trigger was a lookup, not an insert.
-func TestProbePositionHitCountResort(t *testing.T) {
-	c := New(bitvec.HYP, Options{Order: OrderHitCount})
-	loadFig3(t, c)
-	// Hammer header 100 (mask 100): 10 hits against 0 for the others.
-	for i := 0; i < 10; i++ {
-		c.Lookup(hyp(4), 0)
-	}
-	hotMask := bitvec.PrefixMask(bitvec.HYP, 0, 1)
-	if pos := c.ProbePosition(hotMask); pos != 1 {
-		t.Errorf("hot mask position = %d, want 1 (hit-count resort)", pos)
-	}
-	// Now hammer an entry under the exact mask harder; positions flip.
-	for i := 0; i < 25; i++ {
-		c.Lookup(hyp(1), 0)
-	}
-	exact := bitvec.FullMask(bitvec.HYP)
-	if pos := c.ProbePosition(exact); pos != 1 {
-		t.Errorf("exact mask position = %d, want 1 after taking the lead", pos)
-	}
-	if pos := c.ProbePosition(hotMask); pos != 2 {
-		t.Errorf("demoted mask position = %d, want 2", pos)
-	}
-	// An absent mask still reports 0 under OrderHitCount.
-	absent := bitvec.NewVec(bitvec.HYP)
-	absent.SetFieldBit(bitvec.HYP, 0, 2)
-	if pos := c.ProbePosition(absent); pos != 0 {
-		t.Errorf("absent mask position = %d, want 0", pos)
-	}
-}
-
-// TestExpireIdleHitCountResort: expiry under OrderHitCount must (a) keep
-// recently-hit entries whose hits marked the scan order dirty, and (b)
-// leave the classifier consistent so the next lookup's lazy resort works
-// off the surviving groups.
-func TestExpireIdleHitCountResort(t *testing.T) {
-	c := New(bitvec.HYP, Options{Order: OrderHitCount})
-	loadFig3(t, c)
-	// Hit mask 100 at t=100 (marks order dirty); others stay at t=0.
-	for i := 0; i < 5; i++ {
-		c.Lookup(hyp(4), 100)
-	}
-	if evicted := c.ExpireIdle(105, 10); evicted != 3 {
-		t.Fatalf("evicted %d, want 3", evicted)
-	}
-	if c.EntryCount() != 1 || c.MaskCount() != 1 {
-		t.Fatalf("post-expiry: %d entries, %d masks, want 1/1", c.EntryCount(), c.MaskCount())
-	}
-	// The survivor is the hammered 1** entry, now trivially at position 1.
-	e, probes, ok := c.Lookup(hyp(4), 106)
-	if !ok || probes != 1 {
-		t.Errorf("survivor lookup: ok=%v probes=%d, want hit at position 1", ok, probes)
-	}
-	if ok && e.Hits != 6 {
-		t.Errorf("survivor hits = %d, want 6 (5 pre-expiry + 1)", e.Hits)
-	}
-	mask := bitvec.PrefixMask(bitvec.HYP, 0, 1)
-	if pos := c.ProbePosition(mask); pos != 1 {
-		t.Errorf("survivor mask position = %d, want 1", pos)
+// TestScanProbeSize pins the scan record at 40 bytes: the record is
+// copied O(|M|) on every publish and streamed on every scan.
+func TestScanProbeSize(t *testing.T) {
+	if got := unsafe.Sizeof(scanProbe{}); got != 40 {
+		t.Errorf("sizeof(scanProbe) = %d, want 40", got)
 	}
 }
 
@@ -608,10 +511,17 @@ func TestDump(t *testing.T) {
 	c := New(bitvec.HYP, Options{})
 	loadFig3(t, c)
 	c.Lookup(hyp(4), 7)
+	// Hits on the exact mask's two entries, taken through two handles,
+	// add up to the mask's total.
+	a, b := c.NewHandle(), c.NewHandle()
+	a.Lookup(hyp(1), 3)
+	b.Lookup(hyp(0), 3)
+	b.Lookup(hyp(0), 3)
 	var buf strings.Builder
 	c.Dump(&buf, bitvec.HYP)
 	out := buf.String()
-	for _, needle := range []string{"mask 1/3", "mask 3/3", "hits=1", "last=7", "001"} {
+	for _, needle := range []string{"mask 1/3", "mask 3/3", "hits=1", "last=7", "001",
+		"111 (2 entries, 3 hits)", "100 (1 entries, 1 hits)"} {
 		if !strings.Contains(out, needle) {
 			t.Errorf("dump missing %q:\n%s", needle, out)
 		}

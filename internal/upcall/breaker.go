@@ -4,7 +4,7 @@ package upcall
 // quota. The quota tunes *how much* a source may submit; the breaker
 // decides *whether* submitting is useful at all. When a source's
 // backlog-residence p99 (the per-port LatencyHist the adaptive controller
-// already reads) violates BreakerSLOSec for TripAfter consecutive
+// already reads) violates SLOSec for TripAfter consecutive
 // intervals, queued work is already missing its flow-setup SLO — so the
 // source trips open and new submissions fast-fail (shed) instead of
 // joining a queue whose wait already exceeds the deadline. After

@@ -87,23 +87,6 @@ func TestProcessBatchEquivalentToSerial(t *testing.T) {
 				MicroflowCapacity: 32,
 			}
 		},
-		"megaflow-limit": func() vswitch.Config {
-			return vswitch.Config{
-				Table:            flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{}),
-				DisableMicroflow: true,
-				MaxMegaflows:     20,
-			}
-		},
-		"hitcount-order": func() vswitch.Config {
-			// OrderHitCount re-sorts between consecutive lookups, so the
-			// batched path must fall back to the serial loop to keep the
-			// equivalence contract.
-			return vswitch.Config{
-				Table:            flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{}),
-				DisableMicroflow: true,
-				Order:            tss.OrderHitCount,
-			}
-		},
 		"no-megaflow": func() vswitch.Config {
 			return vswitch.Config{
 				Table:            flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{}),

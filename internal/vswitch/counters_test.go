@@ -8,9 +8,8 @@ import (
 )
 
 // TestCountersAccounting drives every counter branch — the three deciding
-// paths, the drop/allow partition, installs, the revalidator-quirk
-// suppression, and the MaxMegaflows rejection — with explicit expected
-// totals. The Fig. 1 ACL allows 001 and denies everything else.
+// paths, the drop/allow partition, installs, and the revalidator-quirk
+// suppression — with explicit expected totals. The Fig. 1 ACL allows 001 and denies everything else.
 func TestCountersAccounting(t *testing.T) {
 	cases := []struct {
 		name string
@@ -83,27 +82,6 @@ func TestCountersAccounting(t *testing.T) {
 				s.Process(hyp(0b001), 0) // megaflow hit again
 			},
 			want: Counters{Slow: 3, Megaflow: 1, Allowed: 4, Installs: 2, Suppressed: 1},
-		},
-		{
-			name: "quirk-disabled-reinstalls",
-			cfg:  Config{Table: flowtable.Fig1(), DisableMicroflow: true, NoRevalidatorQuirk: true},
-			run: func(t *testing.T, s *Switch) {
-				s.Process(hyp(0b001), 0)
-				s.DeleteMegaflows(func(*tss.Entry) bool { return true })
-				s.Process(hyp(0b001), 0) // slow, but re-installs freely
-				s.Process(hyp(0b001), 0) // megaflow hit
-			},
-			want: Counters{Slow: 2, Megaflow: 1, Allowed: 3, Installs: 2},
-		},
-		{
-			name: "max-megaflows-rejects",
-			cfg:  Config{Table: flowtable.Fig1(), DisableMicroflow: true, MaxMegaflows: 1},
-			run: func(t *testing.T, s *Switch) {
-				s.Process(hyp(0b001), 0) // installs the only allowed entry
-				s.Process(hyp(0b101), 0) // cache full: rejected
-				s.Process(hyp(0b101), 0) // still uncached, still slow
-			},
-			want: Counters{Slow: 3, Allowed: 1, Dropped: 2, Installs: 1, Rejected: 2},
 		},
 		{
 			name: "disable-megaflow-never-installs",

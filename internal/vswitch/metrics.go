@@ -35,9 +35,6 @@ func (s *Switch) AttachMetrics(reg *telemetry.Registry) {
 	reg.CounterFunc("tse_megaflow_install_suppressed_total",
 		"Installs skipped by the revalidator deletion quirk.",
 		ctr(func(c Counters) uint64 { return c.Suppressed }))
-	reg.CounterFunc("tse_megaflow_install_rejected_total",
-		"Installs refused at the megaflow capacity limit (OVS: flow limit).",
-		ctr(func(c Counters) uint64 { return c.Rejected }))
 	reg.CounterFunc("tse_megaflow_install_conflicts_total",
 		"Installs abandoned on a benign overlap race with a mid-flight table swap.",
 		ctr(func(c Counters) uint64 { return c.Conflicts }))

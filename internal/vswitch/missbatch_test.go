@@ -13,16 +13,12 @@ import (
 	"tse/internal/vswitch"
 )
 
-func newMissSwitch(t *testing.T, use flowtable.UseCase, cfg func(*vswitch.Config)) *vswitch.Switch {
+func newMissSwitch(t *testing.T) *vswitch.Switch {
 	t.Helper()
-	c := vswitch.Config{
-		Table:            flowtable.UseCaseACL(use, flowtable.ACLParams{}),
+	sw, err := vswitch.New(vswitch.Config{
+		Table:            flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{}),
 		DisableMicroflow: true,
-	}
-	if cfg != nil {
-		cfg(&c)
-	}
-	sw, err := vswitch.New(c)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,8 +30,8 @@ func newMissSwitch(t *testing.T, use flowtable.UseCase, cfg func(*vswitch.Config
 // one-miss HandleMissBatch calls, with one snapshot publish for the whole
 // burst where the one-miss sequence pays K.
 func TestHandleMissBatchMatchesSerial(t *testing.T) {
-	batched := newMissSwitch(t, flowtable.SipDp, nil)
-	serial := newMissSwitch(t, flowtable.SipDp, nil)
+	batched := newMissSwitch(t)
+	serial := newMissSwitch(t)
 	tr, err := core.CoLocated(batched.FlowTable(), core.CoLocatedOptions{Noise: true, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
@@ -77,10 +73,10 @@ func TestHandleMissBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestHandleMissBatchSuppressedAndLimited: the quirk ledger and the
-// megaflow limit apply per miss inside a burst, as they do serially.
+// TestHandleMissBatchSuppressedAndLimited: the quirk ledger applies per
+// miss inside a burst, as it does serially.
 func TestHandleMissBatchSuppressedAndLimited(t *testing.T) {
-	sw := newMissSwitch(t, flowtable.SipDp, nil)
+	sw := newMissSwitch(t)
 	tr, err := core.CoLocated(sw.FlowTable(), core.CoLocatedOptions{Noise: true, Seed: 19})
 	if err != nil {
 		t.Fatal(err)
@@ -99,19 +95,5 @@ func TestHandleMissBatchSuppressedAndLimited(t *testing.T) {
 	c := sw.Counters()
 	if c.Suppressed != 1 {
 		t.Errorf("suppressed = %d, want 1 (the monitor-deleted flow)", c.Suppressed)
-	}
-
-	// A hard megaflow limit rejects the burst's tail.
-	limited := newMissSwitch(t, flowtable.SipDp, func(c *vswitch.Config) { c.MaxMegaflows = 3 })
-	limited.HandleMissBatch(ms, 0)
-	lc := limited.Counters()
-	if lc.Installs != 3 {
-		t.Errorf("limited switch installed %d megaflows, want 3", lc.Installs)
-	}
-	if lc.Rejected == 0 {
-		t.Error("limited switch rejected nothing beyond the cap")
-	}
-	if got := limited.MFC().EntryCount(); got != 3 {
-		t.Errorf("limited MFC holds %d entries, want 3", got)
 	}
 }

@@ -94,16 +94,6 @@ type Config struct {
 	IdleTimeout int64
 	// Order selects the MFC mask scan order (see tss.MaskOrder).
 	Order tss.MaskOrder
-	// RevalidatorQuirk reproduces the undocumented OVS behaviour the
-	// paper found while building MFCGuard (§8): once a megaflow is
-	// deleted by the monitor, the slow path never re-installs it, so
-	// matching packets are processed in the slow path forever. On by
-	// default (set NoRevalidatorQuirk to disable).
-	NoRevalidatorQuirk bool
-	// MaxMegaflows bounds the MFC size; 0 means unbounded. OVS's default
-	// flow limit (200k) is far above anything the paper's scenarios
-	// reach, but the IPv6 exact-match blow-up (§5.4) hits it.
-	MaxMegaflows int
 	// DisableMegaflow switches the MFC completely off: every microflow
 	// miss goes to the slow path. This is immediate remedy (iii) of §8,
 	// which the paper rejects because "MFC has been the biggest
@@ -135,7 +125,12 @@ type Switch struct {
 	revalPend atomic.Bool              // cache not yet reconciled with gen
 	mfc       *tss.Classifier
 	ufc       *microflow.Cache
-	deleted   map[string]bool // quirk: suppressed (key,mask) pairs
+	// deleted is the revalidator-quirk ledger of suppressed (key, mask)
+	// pairs. It reproduces the undocumented OVS behaviour the paper found
+	// while building MFCGuard (§8): once a megaflow is deleted by the
+	// monitor, the slow path never re-installs it, so matching packets
+	// are processed in the slow path forever.
+	deleted   map[string]bool
 	counters  Counters
 	batchPool sync.Pool // *[]tss.BatchResult scratch for ProcessBatchOn
 
@@ -158,9 +153,8 @@ type Counters struct {
 	// Dropped and Allowed partition all processed packets by verdict.
 	Dropped, Allowed uint64
 	// Installs counts megaflow installations; Suppressed counts installs
-	// skipped due to the revalidator quirk; Rejected counts installs
-	// skipped due to the megaflow limit.
-	Installs, Suppressed, Rejected uint64
+	// skipped due to the revalidator quirk.
+	Installs, Suppressed uint64
 	// Conflicts counts installs abandoned because the megaflow, generated
 	// under a table that was swapped mid-classification, overlaps the
 	// cache — a benign race between an asynchronous handler and SwapTable
@@ -309,14 +303,12 @@ func (s *Switch) processFunc(hd *tss.Handle, i int, h bitvec.Vec, now int64, mis
 // once per batch. With the microflow cache enabled the layers are
 // interleaved packet by packet (EMC FIFO eviction order is part of the
 // serial semantics), which is also how OVS's emc_processing walks a burst.
-// OrderHitCount likewise falls back to the serial loop: its scan order
-// re-sorts between consecutive lookups, which a batch cannot reproduce.
 func (s *Switch) ProcessBatchOn(hd *tss.Handle, hs []bitvec.Vec, now int64, out []Verdict, miss func(i, probes int) Verdict) []Verdict {
 	if cap(out) < len(hs) {
 		out = make([]Verdict, len(hs))
 	}
 	out = out[:len(hs)]
-	if s.ufc != nil || s.cfg.DisableMegaflow || s.cfg.Order == tss.OrderHitCount {
+	if s.ufc != nil || s.cfg.DisableMegaflow {
 		for i, h := range hs {
 			out[i] = s.processFunc(hd, i, h, now, miss)
 		}
@@ -398,7 +390,7 @@ type Miss struct {
 // of a TSE flood otherwise re-copies the whole inflated probe mirror).
 //
 // Per-miss semantics match a sequence of one-miss calls — same verdicts,
-// same counter totals (Slow/Installs/Suppressed/Rejected/Conflicts and the
+// same counter totals (Slow/Installs/Suppressed/Conflicts and the
 // verdict partitions), same EMC priming — with two deliberate batch-grain
 // simplifications: every verdict reports the mask count at burst entry as
 // its Probes (the misses of one burst scanned essentially the same cache),
@@ -427,24 +419,14 @@ func (s *Switch) HandleMissBatch(ms []Miss, now int64) []Verdict {
 		install = nil
 	} else {
 		s.mu.Lock()
-		quirk := !s.cfg.NoRevalidatorQuirk
-		count := s.mfc.EntryCount()
-		n := 0
 		for _, e := range entries {
 			switch {
-			case quirk && s.deleted[entryID(e)]:
+			case s.deleted[entryID(e)]:
 				delta.Suppressed++
-			case s.cfg.MaxMegaflows > 0 && count >= s.cfg.MaxMegaflows:
-				// Conservative within the burst: a refresh of an existing
-				// (key, mask) would not actually grow the cache, but the
-				// limit check prices every accepted install as new.
-				delta.Rejected++
 			case s.installFault != nil && s.installFault(now):
 				delta.InstallErrors++
 			default:
 				install = append(install, e)
-				count++
-				n++
 			}
 		}
 		s.mu.Unlock()
@@ -487,7 +469,6 @@ func (s *Switch) HandleMissBatch(ms []Miss, now int64) []Verdict {
 		c.Allowed += delta.Allowed
 		c.Installs += delta.Installs
 		c.Suppressed += delta.Suppressed
-		c.Rejected += delta.Rejected
 		c.Conflicts += delta.Conflicts
 		c.InstallErrors += delta.InstallErrors
 	})
@@ -550,9 +531,7 @@ func (s *Switch) SweepMegaflows(decide func(*tss.Entry) SweepDecision) SweepResu
 			return true
 		case SweepSuppress:
 			res.Suppressed++
-			if !s.cfg.NoRevalidatorQuirk {
-				suppressed = append(suppressed, entryID(e))
-			}
+			suppressed = append(suppressed, entryID(e))
 			return true
 		}
 		return false

@@ -226,31 +226,6 @@ func TestRevalidatorQuirk(t *testing.T) {
 	}
 }
 
-func TestNoRevalidatorQuirk(t *testing.T) {
-	s := newSwitch(t, Config{Table: flowtable.Fig1(), DisableMicroflow: true,
-		NoRevalidatorQuirk: true})
-	s.Process(hyp(5), 0)
-	s.DeleteMegaflows(func(e *tss.Entry) bool { return true })
-	s.Process(hyp(5), 1) // slow path, re-installs
-	if v := s.Process(hyp(5), 1); v.Path != PathMegaflow {
-		t.Errorf("without quirk path = %v, want megaflow (re-installed)", v.Path)
-	}
-}
-
-func TestMaxMegaflows(t *testing.T) {
-	s := newSwitch(t, Config{Table: flowtable.Fig1(), DisableMicroflow: true,
-		MaxMegaflows: 2})
-	for _, v := range []uint64{1, 5, 3, 0} {
-		s.Process(hyp(v), 0)
-	}
-	if got := s.MFC().EntryCount(); got != 2 {
-		t.Errorf("entries = %d, want 2 (limit)", got)
-	}
-	if c := s.Counters(); c.Rejected != 2 {
-		t.Errorf("rejected = %d, want 2", c.Rejected)
-	}
-}
-
 func TestNoMatchDropsWithExactEntry(t *testing.T) {
 	// A table without a catch-all: unmatched headers get an exact-match
 	// drop entry (safe, no over-wide coverage).
