@@ -468,9 +468,9 @@ type Options struct {
 	// Order selects the mask scan order (default OrderHash).
 	Order MaskOrder
 	// DisableOverlapCheck skips the O(|C|) independence verification on
-	// Insert. The vswitch megaflow generator guarantees disjointness by
-	// construction, so its pipeline may disable the check; tests and
-	// direct users keep it on.
+	// Insert, for benches that seed known-disjoint entries. vswitch keeps
+	// it on: HandleMissBatch counts an ErrOverlap as a stale-generation
+	// Conflict or panics on it as a generator bug.
 	DisableOverlapCheck bool
 	// DisableStagedLookup turns off the staged per-probe early bail and
 	// makes every probe the full masked hash+compare, the pre-staging
@@ -511,8 +511,7 @@ type Handle struct {
 type Classifier struct {
 	mu     sync.Mutex // serialises writers; readers never take it
 	layout *bitvec.Layout
-	groups []*group    // authoritative scan order (writer-side)
-	probes []scanProbe // mirror of groups' probe records, kept in sync
+	probes []scanProbe // writer-side scan order, one record per group
 	thawed []*group    // groups created/cloned since the last publish
 	byMask map[string]*group
 	nEntry int
@@ -560,7 +559,7 @@ type scanProbe struct {
 
 // buildProbe constructs the scan record for a group's current state.
 // Writers call it whenever a group's membership or solo entry changes,
-// keeping the writer-side probe mirror in sync with c.groups.
+// keeping c.probes[i] in sync with the group it points at.
 func buildProbe(g *group) scanProbe {
 	p := scanProbe{g: g}
 	if g.sparseOK && g.solo != nil {
@@ -600,8 +599,8 @@ func (c *Classifier) publishLocked() {
 
 // indexOfLocked returns g's position in the writer-side scan order.
 func (c *Classifier) indexOfLocked(g *group) int {
-	for i, gg := range c.groups {
-		if gg == g {
+	for i := range c.probes {
+		if c.probes[i].g == g {
 			return i
 		}
 	}
@@ -609,15 +608,12 @@ func (c *Classifier) indexOfLocked(g *group) int {
 }
 
 // removeAtLocked drops the group at scan position i from the writer-side
-// lists and the mask index. The vacated tail slot is zeroed so a
+// scan order and the mask index. The vacated tail slot is zeroed so a
 // post-wipe shrink (MFCGuard deleting a whole attack state) does not pin
-// deleted entries and groups through the slices' backing arrays.
+// deleted entries and groups through the slice's backing array.
 func (c *Classifier) removeAtLocked(i int) {
-	delete(c.byMask, c.groups[i].maskKey)
-	n := len(c.groups) - 1
-	copy(c.groups[i:], c.groups[i+1:])
-	c.groups[n] = nil
-	c.groups = c.groups[:n]
+	delete(c.byMask, c.probes[i].g.maskKey)
+	n := len(c.probes) - 1
 	copy(c.probes[i:], c.probes[i+1:])
 	c.probes[n] = scanProbe{}
 	c.probes = c.probes[:n]
@@ -805,21 +801,20 @@ func (e *ErrOverlap) Error() string {
 	return "tss: entry overlaps existing megaflow (Inv(2) violation)"
 }
 
-// mutableLocked returns a group safe to mutate under the writer lock plus
-// its scan position: the group itself if it has never been published,
-// else a clone wired into the writer-side index and scan list in its
-// place (copy-on-write; the published snapshot keeps the frozen
-// original). Callers must refresh c.probes[i] after mutating.
-func (c *Classifier) mutableLocked(g *group) (*group, int) {
-	i := c.indexOfLocked(g)
+// mutableLocked returns a group safe to mutate under the writer lock for
+// scan position i: the group itself if never published, else a clone that
+// replaces it in the mask index and c.probes[i] (copy-on-write; the
+// snapshot keeps the frozen original). Rebuild c.probes[i] after mutating.
+func (c *Classifier) mutableLocked(i int) *group {
+	g := c.probes[i].g
 	if !g.frozen {
-		return g, i
+		return g
 	}
 	ng := g.clone()
 	c.byMask[ng.maskKey] = ng
-	c.groups[i] = ng
+	c.probes[i].g = ng
 	c.thawed = append(c.thawed, ng)
-	return ng, i
+	return ng
 }
 
 // Insert adds a megaflow at virtual time now. If an entry with the same
@@ -891,7 +886,8 @@ func (c *Classifier) insertLocked(e *Entry, now int64) error {
 			// group, carrying the hit count forward.
 			e.LastUsed = now
 			e.Hits = atomic.LoadUint64(&old.Hits)
-			g, gi := c.mutableLocked(g)
+			gi := c.indexOfLocked(g)
+			g = c.mutableLocked(gi)
 			g.replace(old, e)
 			c.probes[gi] = buildProbe(g)
 			return nil
@@ -908,11 +904,10 @@ func (c *Classifier) insertLocked(e *Entry, now int64) error {
 		c.byMask[mk] = g
 		c.thawed = append(c.thawed, g)
 		g.put(e)
-		c.groups = append(c.groups, g)
-		c.placeLocked()
+		c.placeLocked(g)
 	} else {
-		var gi int
-		g, gi = c.mutableLocked(g)
+		gi := c.indexOfLocked(g)
+		g = c.mutableLocked(gi)
 		g.put(e)
 		c.probes[gi] = buildProbe(g)
 	}
@@ -921,49 +916,51 @@ func (c *Classifier) insertLocked(e *Entry, now int64) error {
 	return nil
 }
 
-// findOverlapLocked returns any existing entry overlapping e, or nil.
+// findOverlapLocked returns the first entry in scan order overlapping e, or
+// nil. Like a lookup it streams the flat probe mirror: a one-entry group's
+// inlined first mask word is one word of bitvec.Overlap, so most disjoint
+// groups are rejected without touching the group or its entry.
 func (c *Classifier) findOverlapLocked(e *Entry) *Entry {
-	for _, g := range c.groups {
-		// Fast path: if the group's mask is a subset of e's mask, an
-		// overlap within this group must agree with e on the group mask,
-		// so a single masked hash probe decides.
+	for k := range c.probes {
+		p := &c.probes[k]
+		if ex := p.e0; ex != nil {
+			if (e.Key[p.idx0]^p.kw0)&p.mw0&e.Mask[p.idx0] == 0 &&
+				bitvec.Overlap(e.Key, e.Mask, ex.Key, ex.Mask) {
+				return ex
+			}
+			continue
+		}
+		g := p.g
+		// Multi-entry group: under a mask that is a subset of e's, an
+		// overlapping entry's key is e.Key AND mask, so one probe decides.
 		if g.mask.SubsetOf(e.Mask) {
 			if ex := g.findMasked(e.Key); ex != nil {
 				return ex
 			}
 			continue
 		}
-		var found *Entry
-		g.each(func(ex *Entry) bool {
-			if bitvec.Overlap(e.Key, e.Mask, ex.Key, ex.Mask) {
-				found = ex
-				return false
+		for _, s := range g.slots {
+			if s.e != nil && bitvec.Overlap(e.Key, e.Mask, s.e.Key, s.e.Mask) {
+				return s.e
 			}
-			return true
-		})
-		if found != nil {
-			return found
 		}
 	}
 	return nil
 }
 
-// placeLocked restores the configured scan order after a group was
-// appended at the end of c.groups (its entries already in place), and
-// inserts the group's probe record into the mirror at the same position.
-func (c *Classifier) placeLocked() {
-	g := c.groups[len(c.groups)-1]
-	pos := len(c.groups) - 1
+// placeLocked inserts the probe record of a new group (its entries already
+// in place) into c.probes at the position the configured scan order
+// gives it: the end for OrderInsertion, a binary search for OrderHash.
+func (c *Classifier) placeLocked(g *group) {
+	pos := len(c.probes)
 	if c.opts.Order == OrderHash {
-		// Binary-insert the appended group into hash order.
-		pos = sort.Search(len(c.groups)-1, func(i int) bool {
-			if c.groups[i].hash != g.hash {
-				return c.groups[i].hash > g.hash
+		pos = sort.Search(len(c.probes), func(i int) bool {
+			h := c.probes[i].g
+			if h.hash != g.hash {
+				return h.hash > g.hash
 			}
-			return c.groups[i].maskKey > g.maskKey
+			return h.maskKey > g.maskKey
 		})
-		copy(c.groups[pos+1:], c.groups[pos:len(c.groups)-1])
-		c.groups[pos] = g
 	}
 	c.probes = append(c.probes, scanProbe{})
 	copy(c.probes[pos+1:], c.probes[pos:len(c.probes)-1])
@@ -982,7 +979,8 @@ func (c *Classifier) Delete(key, mask bitvec.Vec) bool {
 	if g.find(key) == nil {
 		return false
 	}
-	g, gi := c.mutableLocked(g)
+	gi := c.indexOfLocked(g)
+	g = c.mutableLocked(gi)
 	g.remove(key)
 	c.nEntry--
 	c.deleted++
@@ -1006,7 +1004,8 @@ func (c *Classifier) DeleteWhere(pred func(*Entry) bool) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	removed := 0
-	for _, g := range append([]*group(nil), c.groups...) {
+	for i := 0; i < len(c.probes); i++ {
+		g := c.probes[i].g
 		var victims []bitvec.Vec
 		g.each(func(e *Entry) bool {
 			if pred(e) {
@@ -1017,7 +1016,7 @@ func (c *Classifier) DeleteWhere(pred func(*Entry) bool) int {
 		if len(victims) == 0 {
 			continue
 		}
-		g, gi := c.mutableLocked(g)
+		g = c.mutableLocked(i)
 		for _, k := range victims {
 			if g.remove(k) {
 				c.nEntry--
@@ -1025,9 +1024,10 @@ func (c *Classifier) DeleteWhere(pred func(*Entry) bool) int {
 			}
 		}
 		if g.n == 0 {
-			c.removeAtLocked(gi)
+			c.removeAtLocked(i)
+			i-- // the next group moved into position i
 		} else {
-			c.probes[gi] = buildProbe(g)
+			c.probes[i] = buildProbe(g)
 		}
 	}
 	c.deleted += uint64(removed)

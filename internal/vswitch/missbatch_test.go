@@ -5,8 +5,10 @@
 package vswitch_test
 
 import (
+	"strings"
 	"testing"
 
+	"tse/internal/bitvec"
 	"tse/internal/core"
 	"tse/internal/flowtable"
 	"tse/internal/tss"
@@ -96,4 +98,51 @@ func TestHandleMissBatchSuppressedAndLimited(t *testing.T) {
 	if c.Suppressed != 1 {
 		t.Errorf("suppressed = %d, want 1 (the monitor-deleted flow)", c.Suppressed)
 	}
+}
+
+// TestHandleMissOverlapTriage covers the install-overlap triage of
+// HandleMissBatch, the reason vswitch keeps the classifier's Inv(2) check
+// on. The cache is pre-seeded with an exact entry inside the region the
+// generator will produce for a header. While a SwapTable's revalidation is
+// pending the overlap is a benign stale-generation race: it counts one
+// Conflict, installs nothing and still returns the slow-path verdict. With
+// no swap pending the same overlap is a generator bug and must panic.
+func TestHandleMissOverlapTriage(t *testing.T) {
+	sw := newMissSwitch(t)
+	tr, err := core.CoLocated(sw.FlowTable(), core.CoLocatedOptions{Noise: true, Seed: 23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := tr.Headers[0]
+	gen := sw.Generator().Generate(h)
+	if gen.Mask.Equal(bitvec.FullMask(sw.FlowTable().Layout())) {
+		t.Fatalf("generated megaflow %v is exact; the seed would refresh it, not overlap it", gen.Mask)
+	}
+	seed := &tss.Entry{Key: h.Clone(), Mask: bitvec.FullMask(sw.FlowTable().Layout()), Action: flowtable.Allow}
+	if err := sw.MFC().Insert(seed, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := sw.SwapTable(flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{})); err != nil {
+		t.Fatal(err)
+	}
+	v := sw.HandleMiss(h, 1)
+	if v.Path != vswitch.PathSlow || v.Action != gen.Action || v.Rule != gen.RuleName {
+		t.Errorf("verdict %+v, want the slow path's %s via %s", v, gen.Action, gen.RuleName)
+	}
+	if c := sw.Counters(); c.Conflicts != 1 || c.Installs != 0 || c.Slow != 1 {
+		t.Errorf("counters %+v, want Conflicts 1, Installs 0, Slow 1", c)
+	}
+	if es := sw.MFC().Entries(); len(es) != 1 || !es[0].Key.Equal(seed.Key) || !es[0].Mask.Equal(seed.Mask) {
+		t.Fatalf("cache holds %d entries after the conflict, want only the seed", len(es))
+	}
+
+	sw.MarkRevalidated(sw.GenSeq())
+	defer func() {
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, "generated megaflow overlaps cache") {
+			t.Errorf("miss with no swap pending recovered %v, want the overlap panic", r)
+		}
+	}()
+	sw.HandleMiss(h, 2)
 }

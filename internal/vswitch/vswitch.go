@@ -388,6 +388,10 @@ type Miss struct {
 // so a burst pays exactly one O(|M|) publish instead of one per megaflow
 // — the amortisation that caps the attack-regime writer bill (each upcall
 // of a TSE flood otherwise re-copies the whole inflated probe mirror).
+// At large |M| one install therefore costs the classifier's O(|M|) Inv(2)
+// overlap walk over the flat probe mirror plus its share of that publish.
+// The overlap check stays on: the Conflicts/panic triage below is built
+// on the ErrOverlap it returns.
 //
 // Per-miss semantics match a sequence of one-miss calls — same verdicts,
 // same counter totals (Slow/Installs/Suppressed/Conflicts and the
