@@ -8,17 +8,17 @@ import (
 )
 
 // BenchmarkInsertAtManyMasks measures the writer-side cost of one megaflow
-// install into an attack-inflated classifier: the copy-on-write publish
-// re-copies the O(|M|) probe mirror, so this is the per-upcall bill the
-// snapshot design charges the slow path to keep the read path lock-free
-// (the mirror itself is maintained incrementally; the copy is a memcpy).
+// install into an attack-inflated classifier: the copy-on-write bill the
+// snapshot design charges the slow path to keep the read path lock-free,
+// one group clone, one probe-chunk clone and the chunk-table publish.
 //
 // Installs are idempotent refreshes round-robin over the 4096 seeded
 // megaflows — the one-entry-per-mask attack shape — so the classifier
 // stays in steady state for any b.N: each op pays one tiny-group clone
-// plus the full O(|M|) publish, which is the quantity under test. A
-// refresh returns before the overlap check (which this bench disables
-// anyway), so this is not the install vswitch performs; see
+// plus the clone and publish, which is the quantity under test. A refresh
+// returns before the overlap check (which this bench disables anyway),
+// but it still locates the group's record with a walk of the scan order,
+// so this is not the install vswitch performs; see
 // BenchmarkInsertNewMaskAtManyMasks for that.
 func BenchmarkInsertAtManyMasks(b *testing.B) {
 	l := bitvec.IPv4Tuple
@@ -35,7 +35,8 @@ func BenchmarkInsertAtManyMasks(b *testing.B) {
 
 // BenchmarkInsertBatchAtManyMasks is the amortised counterpart: one
 // 32-entry InsertBatch per op — the handler-drain burst shape — so the
-// O(|M|) publish is paid once per 32 installs instead of per install.
+// publish is paid once per 32 installs instead of per install, and a chunk
+// the burst lands in twice is cloned once.
 // Compare ns/op/32 against BenchmarkInsertAtManyMasks to read the
 // per-install win (the bench JSON suite records both). Like that bench it
 // only refreshes existing entries with the overlap check off.
@@ -63,8 +64,8 @@ func BenchmarkInsertBatchAtManyMasks(b *testing.B) {
 // in the TSE attack regime, with the overlap check on as vswitch runs it:
 // each op inserts one fresh single-entry mask (a SipSpDp attack megaflow)
 // into a classifier holding 4096 of them, so it pays the Inv(2) walk over
-// every group, the scan-order placement and the O(|M|) publish. The delete
-// that restores the 4096-mask state runs outside the timer.
+// every group, the scan-order placement, one chunk clone and the publish.
+// The delete that restores the 4096-mask state runs outside the timer.
 func BenchmarkInsertNewMaskAtManyMasks(b *testing.B) {
 	l := bitvec.IPv4Tuple
 	c := New(l, Options{})

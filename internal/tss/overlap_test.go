@@ -48,9 +48,7 @@ type overlapCases struct {
 // order within a group, that overlaps e by plain bitvec.Overlap, tallying
 // the groups it visits before stopping into cs.
 func bruteOverlap(c *Classifier, e *Entry, cs *overlapCases) *Entry {
-	sn := c.snap.Load()
-	for k := range sn.probes {
-		p := &sn.probes[k]
+	for _, p := range flatProbes(c.snap.Load()) {
 		switch {
 		case p.e0 != nil && e.Mask[p.idx0] == 0:
 			cs.noIdx0Bits++

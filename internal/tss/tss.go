@@ -27,11 +27,15 @@
 // published through an atomic pointer, the Go equivalent of OVS's RCU
 // cmap/pvector in dpcls: readers load the current snapshot and scan it
 // without synchronisation, writers build the next snapshot under a mutex
-// (cloning only the mask groups they touch) and publish it atomically.
-// A retired snapshot lives until its last in-flight reader drops it; the
-// garbage collector plays the role of the RCU grace period. Hit counters
-// are sharded per reader handle so parallel PMD workers never contend on
-// a shared counter cache line.
+// and publish it atomically. The scan order is a rope of fixed-size probe
+// chunks, and both the chunks and the mask groups are copy-on-write: a
+// writer clones only the groups and chunks it touches, and a publish
+// copies the chunk-pointer table (|M|/chunkFill pointers at most), so
+// successive snapshots share every chunk the writer left alone. A retired
+// snapshot lives until its last in-flight reader drops it; the garbage
+// collector plays the role of the RCU grace period. Hit counters are
+// sharded per reader handle so parallel PMD workers never contend on a
+// shared counter cache line.
 package tss
 
 import (
@@ -457,9 +461,11 @@ type Stats struct {
 	// Inserted and Deleted count entry lifecycle events.
 	Inserted, Deleted uint64
 	// Publishes counts snapshot publications: the number of times the
-	// writer paid the O(|M|) copy-on-write probe-mirror copy. A K-entry
+	// writer copied the chunk-pointer table and froze the chunks and
+	// groups it had cloned since the previous publish. A K-entry
 	// InsertBatch raises it by exactly one — the amortisation the batched
-	// slow path exists for.
+	// slow path exists for — and a DeleteWhere that removes nothing leaves
+	// it unchanged.
 	Publishes uint64
 }
 
@@ -506,14 +512,15 @@ type Handle struct {
 // atomic pointer and never block, so PMD-style datapath workers scale
 // without serialising on a classifier lock. Writers (Insert, Delete,
 // DeleteWhere, ExpireIdle) serialise on a mutex, clone only the mask
-// groups they touch (copy-on-write), and publish the next snapshot
-// atomically.
+// groups and probe chunks they touch (copy-on-write), and publish the
+// next snapshot atomically.
 type Classifier struct {
 	mu     sync.Mutex // serialises writers; readers never take it
 	layout *bitvec.Layout
-	probes []scanProbe // writer-side scan order, one record per group
-	thawed []*group    // groups created/cloned since the last publish
+	chunks []*probeChunk // writer-side scan order, one record per group
+	thawed []*group      // groups created/cloned since the last publish
 	byMask map[string]*group
+	nMask  int
 	nEntry int
 	opts   Options
 	stages []int // staged-lookup word boundaries; nil = staging off
@@ -528,19 +535,36 @@ type Classifier struct {
 	inserted, deleted, published uint64 // writer-side counters, under mu
 }
 
-// snapshot is one immutable published scan state: the flat probe list in
-// scan order (each record carries its group pointer, so the dump-style
-// readers walk the same slice). Readers obtained it from the atomic
-// pointer; nothing in it is mutated after publication (entry counters are
-// updated atomically through shared pointers).
+// snapshot is one immutable published scan state: the probe chunks in scan
+// order (each record carries its group pointer, so the dump-style readers
+// walk the same chunks) plus the mask and entry counts. Readers obtained
+// it from the atomic pointer; nothing in it or in its chunks is mutated
+// after publication (entry counters are updated atomically through shared
+// pointers).
 type snapshot struct {
-	probes []scanProbe
-	nEntry int
+	chunks        []*probeChunk
+	nMask, nEntry int
 }
 
-// scanProbe is one step of the lookup scan, flattened so the O(|M|) walk
-// streams sequential memory the hardware prefetcher can follow instead of
-// chasing a pointer per mask. Groups holding exactly one entry under an
+// chunkFill is the number of records a chunk holds right after a split: a
+// chunk splits in two on reaching 2*chunkFill records, so every chunk holds
+// 1 to 2*chunkFill-1 records. It bounds both sides of the copy-on-write
+// bill: a writer clones at most 2*chunkFill records per touched chunk, and
+// a publish copies about |M|/chunkFill chunk pointers.
+const chunkFill = 256
+
+// probeChunk is one run of the scan order. Chunks are copy-on-write like
+// groups: once a snapshot referencing the chunk has been published
+// (frozen == true), writers clone it before mutating it, so successive
+// snapshots share every chunk no writer touched.
+type probeChunk struct {
+	probes []scanProbe
+	frozen bool // published in a snapshot; clone to mutate
+}
+
+// scanProbe is one step of the lookup scan, stored in sequential chunks so
+// the O(|M|) walk streams memory the hardware prefetcher can follow instead
+// of chasing a pointer per mask. Groups holding exactly one entry under an
 // inline-able mask — the shape TSE attack state takes, one megaflow per
 // inflated mask — have their *first-stage* probe fully inlined: the first
 // nonzero mask word and the entry's key word under it sit in the record
@@ -559,7 +583,7 @@ type scanProbe struct {
 
 // buildProbe constructs the scan record for a group's current state.
 // Writers call it whenever a group's membership or solo entry changes,
-// keeping c.probes[i] in sync with the group it points at.
+// keeping the group's record in c.chunks in sync with the group.
 func buildProbe(g *group) scanProbe {
 	p := scanProbe{g: g}
 	if g.sparseOK && g.solo != nil {
@@ -575,18 +599,23 @@ func buildProbe(g *group) scanProbe {
 	return p
 }
 
-// publishLocked copies the writer-side mirror into the next snapshot and
-// publishes it. Called under the writer lock after every mutation. The
-// copy is the copy-on-write bill — O(|M|) memcpy per publish, the same
-// shape as OVS's RCU pvector republish — but deliberately just a memcpy:
-// probe records are maintained incrementally as groups change, not
-// reconstructed per publish (an attack installing one megaflow per upcall
-// pays memory bandwidth here, not pointer-chasing). Groups touched since
-// the last publish are frozen so later writers clone before mutating
-// (readers may scan this snapshot indefinitely).
+// publishLocked copies the writer-side chunk table into the next snapshot
+// and publishes it. Called under the writer lock after every mutation. The
+// copy is the copy-on-write bill — the same shape as OVS's RCU pvector
+// republish — but it copies chunk pointers, not probe records: the records
+// live in chunks the snapshots share, and a writer has already cloned the
+// few chunks it changed. Chunks and groups touched since the last publish
+// are frozen so later writers clone before mutating (readers may scan this
+// snapshot indefinitely).
 func (c *Classifier) publishLocked() {
+	for _, ch := range c.chunks {
+		if !ch.frozen {
+			ch.frozen = true
+		}
+	}
 	sn := &snapshot{
-		probes: append([]scanProbe(nil), c.probes...),
+		chunks: append([]*probeChunk(nil), c.chunks...),
+		nMask:  c.nMask,
 		nEntry: c.nEntry,
 	}
 	for _, g := range c.thawed {
@@ -597,26 +626,56 @@ func (c *Classifier) publishLocked() {
 	c.snap.Store(sn)
 }
 
-// indexOfLocked returns g's position in the writer-side scan order.
-func (c *Classifier) indexOfLocked(g *group) int {
-	for i := range c.probes {
-		if c.probes[i].g == g {
-			return i
+// locateLocked returns g's chunk and offset in the writer-side scan order.
+func (c *Classifier) locateLocked(g *group) (ci, j int) {
+	for ci, ch := range c.chunks {
+		for j := range ch.probes {
+			if ch.probes[j].g == g {
+				return ci, j
+			}
 		}
 	}
-	return -1
+	return -1, -1
 }
 
-// removeAtLocked drops the group at scan position i from the writer-side
-// scan order and the mask index. The vacated tail slot is zeroed so a
-// post-wipe shrink (MFCGuard deleting a whole attack state) does not pin
-// deleted entries and groups through the slice's backing array.
-func (c *Classifier) removeAtLocked(i int) {
-	delete(c.byMask, c.probes[i].g.maskKey)
-	n := len(c.probes) - 1
-	copy(c.probes[i:], c.probes[i+1:])
-	c.probes[n] = scanProbe{}
-	c.probes = c.probes[:n]
+// chunkLocked returns chunk ci safe to mutate under the writer lock: the
+// chunk itself if never published, else a clone (with room for one more
+// record) that replaces it in c.chunks; the snapshot keeps the original.
+func (c *Classifier) chunkLocked(ci int) *probeChunk {
+	ch := c.chunks[ci]
+	if !ch.frozen {
+		return ch
+	}
+	nc := &probeChunk{probes: make([]scanProbe, len(ch.probes), len(ch.probes)+1)}
+	copy(nc.probes, ch.probes)
+	c.chunks[ci] = nc
+	return nc
+}
+
+// setProbeLocked rebuilds the record at (ci, j) for g's current state.
+func (c *Classifier) setProbeLocked(ci, j int, g *group) {
+	c.chunkLocked(ci).probes[j] = buildProbe(g)
+}
+
+// removeAtLocked drops the group at (ci, j) from the writer-side scan order
+// and the mask index. A chunk left empty is dropped from the table. The
+// vacated tail slots are zeroed so a shrink does not pin deleted entries
+// and groups through a backing array.
+func (c *Classifier) removeAtLocked(ci, j int) {
+	delete(c.byMask, c.chunks[ci].probes[j].g.maskKey)
+	c.nMask--
+	if len(c.chunks[ci].probes) == 1 {
+		n := len(c.chunks) - 1
+		copy(c.chunks[ci:], c.chunks[ci+1:])
+		c.chunks[n] = nil
+		c.chunks = c.chunks[:n]
+		return
+	}
+	ch := c.chunkLocked(ci)
+	n := len(ch.probes) - 1
+	copy(ch.probes[j:], ch.probes[j+1:])
+	ch.probes[n] = scanProbe{}
+	ch.probes = ch.probes[:n]
 }
 
 // New creates an empty classifier over the layout.
@@ -675,55 +734,58 @@ func (hd *Handle) Lookup(h bitvec.Vec, now int64) (*Entry, int, bool) {
 func (hd *Handle) lookupSnap(sn *snapshot, h bitvec.Vec, now int64) (*Entry, int, bool) {
 	staged := hd.c.staged
 	probes, skips := 0, 0
-	for k := range sn.probes {
-		p := &sn.probes[k]
-		probes++
-		var e *Entry
-		if p.e0 != nil {
-			if staged {
-				// Inlined one-entry group: compare the first masked header
-				// word against the inlined key word. A mismatch — the
-				// overwhelmingly common case in the attack regime — bails
-				// on streamed bytes alone; matching every nonzero mask
-				// word IS the full match (the key is canonical), so a hit
-				// needs no hash at all.
-				if h[p.idx0]&p.mw0 != p.kw0 {
-					if p.n > 1 {
-						skips++
+	for _, ch := range sn.chunks {
+		ps := ch.probes
+		for k := range ps {
+			p := &ps[k]
+			probes++
+			var e *Entry
+			if p.e0 != nil {
+				if staged {
+					// Inlined one-entry group: compare the first masked
+					// header word against the inlined key word. A mismatch
+					// — the overwhelmingly common case in the attack
+					// regime — bails on streamed bytes alone; matching
+					// every nonzero mask word IS the full match (the key is
+					// canonical), so a hit needs no hash at all.
+					if h[p.idx0]&p.mw0 != p.kw0 {
+						if p.n > 1 {
+							skips++
+						}
+					} else if p.n <= 1 {
+						e = p.e0
+					} else if p.g.sparse.EqualKey(p.e0.Key, h) {
+						// First word agreed: confirm the remaining stage
+						// words through the group (rare, so the extra
+						// dereference is off the common path).
+						e = p.e0
 					}
-				} else if p.n <= 1 {
-					e = p.e0
-				} else if p.g.sparse.EqualKey(p.e0.Key, h) {
-					// First word agreed: confirm the remaining stage words
-					// through the group (rare, so the extra dereference is
-					// off the common path).
-					e = p.e0
+				} else {
+					// Unstaged: decide on the group's fingerprint; only a
+					// match (or a 2^-64 collision) touches the entry itself.
+					if g := p.g; g.sparse.Hash(h) == g.soloFP && g.sparse.EqualKey(p.e0.Key, h) {
+						e = p.e0
+					}
+				}
+			} else if staged {
+				var skip bool
+				e, skip = p.g.findMaskedStaged(h)
+				if skip {
+					skips++
 				}
 			} else {
-				// Unstaged: decide on the group's fingerprint; only a
-				// match (or a 2^-64 collision) touches the entry itself.
-				if g := p.g; g.sparse.Hash(h) == g.soloFP && g.sparse.EqualKey(p.e0.Key, h) {
-					e = p.e0
-				}
+				e = p.g.findMasked(h)
 			}
-		} else if staged {
-			var skip bool
-			e, skip = p.g.findMaskedStaged(h)
-			if skip {
-				skips++
+			if e != nil {
+				atomic.AddUint64(&e.Hits, 1)
+				atomic.StoreInt64(&e.LastUsed, now)
+				sh := hd.sh
+				atomic.AddUint64(&sh.lookups, 1)
+				atomic.AddUint64(&sh.hits, 1)
+				atomic.AddUint64(&sh.probes, uint64(probes))
+				atomic.AddUint64(&sh.stageSkips, uint64(skips))
+				return e, probes, true
 			}
-		} else {
-			e = p.g.findMasked(h)
-		}
-		if e != nil {
-			atomic.AddUint64(&e.Hits, 1)
-			atomic.StoreInt64(&e.LastUsed, now)
-			sh := hd.sh
-			atomic.AddUint64(&sh.lookups, 1)
-			atomic.AddUint64(&sh.hits, 1)
-			atomic.AddUint64(&sh.probes, uint64(probes))
-			atomic.AddUint64(&sh.stageSkips, uint64(skips))
-			return e, probes, true
 		}
 	}
 	sh := hd.sh
@@ -801,18 +863,16 @@ func (e *ErrOverlap) Error() string {
 	return "tss: entry overlaps existing megaflow (Inv(2) violation)"
 }
 
-// mutableLocked returns a group safe to mutate under the writer lock for
-// scan position i: the group itself if never published, else a clone that
-// replaces it in the mask index and c.probes[i] (copy-on-write; the
-// snapshot keeps the frozen original). Rebuild c.probes[i] after mutating.
-func (c *Classifier) mutableLocked(i int) *group {
-	g := c.probes[i].g
+// mutableLocked returns a version of g safe to mutate under the writer
+// lock: g itself if never published, else a clone that replaces it in the
+// mask index (copy-on-write; the snapshot keeps the frozen original). The
+// caller then rebuilds g's scan record (setProbeLocked) or removes it.
+func (c *Classifier) mutableLocked(g *group) *group {
 	if !g.frozen {
 		return g
 	}
 	ng := g.clone()
 	c.byMask[ng.maskKey] = ng
-	c.probes[i].g = ng
 	c.thawed = append(c.thawed, ng)
 	return ng
 }
@@ -836,10 +896,10 @@ func (c *Classifier) Insert(e *Entry, now int64) error {
 // overlap rejection, per-entry error in the returned slice, aligned with
 // es), but every group the batch touches is cloned at most once and the
 // snapshot is published exactly once at commit. A handler draining a
-// K-miss burst therefore pays one O(|M|) probe-mirror copy instead of K —
-// the pvector-republish amortisation OVS applies to megaflow install
-// bursts, and the writer-side counterpart of the paper's Observation 1
-// (the publish bill, like the scan, is linear in |M|).
+// K-miss burst therefore pays one publish instead of K — the
+// pvector-republish amortisation OVS applies to megaflow install bursts —
+// and clones each touched probe chunk once however many of the burst's
+// installs land in it.
 //
 // Entries that fail validation or overlap an existing megaflow get their
 // error recorded and do not block the rest of the batch; the snapshot is
@@ -886,10 +946,10 @@ func (c *Classifier) insertLocked(e *Entry, now int64) error {
 			// group, carrying the hit count forward.
 			e.LastUsed = now
 			e.Hits = atomic.LoadUint64(&old.Hits)
-			gi := c.indexOfLocked(g)
-			g = c.mutableLocked(gi)
+			ci, j := c.locateLocked(g)
+			g = c.mutableLocked(g)
 			g.replace(old, e)
-			c.probes[gi] = buildProbe(g)
+			c.setProbeLocked(ci, j, g)
 			return nil
 		}
 	}
@@ -906,10 +966,10 @@ func (c *Classifier) insertLocked(e *Entry, now int64) error {
 		g.put(e)
 		c.placeLocked(g)
 	} else {
-		gi := c.indexOfLocked(g)
-		g = c.mutableLocked(gi)
+		ci, j := c.locateLocked(g)
+		g = c.mutableLocked(g)
 		g.put(e)
-		c.probes[gi] = buildProbe(g)
+		c.setProbeLocked(ci, j, g)
 	}
 	c.nEntry++
 	c.inserted++
@@ -917,54 +977,83 @@ func (c *Classifier) insertLocked(e *Entry, now int64) error {
 }
 
 // findOverlapLocked returns the first entry in scan order overlapping e, or
-// nil. Like a lookup it streams the flat probe mirror: a one-entry group's
+// nil. Like a lookup it streams the probe chunks: a one-entry group's
 // inlined first mask word is one word of bitvec.Overlap, so most disjoint
 // groups are rejected without touching the group or its entry.
 func (c *Classifier) findOverlapLocked(e *Entry) *Entry {
-	for k := range c.probes {
-		p := &c.probes[k]
-		if ex := p.e0; ex != nil {
-			if (e.Key[p.idx0]^p.kw0)&p.mw0&e.Mask[p.idx0] == 0 &&
-				bitvec.Overlap(e.Key, e.Mask, ex.Key, ex.Mask) {
-				return ex
+	for _, ch := range c.chunks {
+		ps := ch.probes
+		for k := range ps {
+			p := &ps[k]
+			if ex := p.e0; ex != nil {
+				if (e.Key[p.idx0]^p.kw0)&p.mw0&e.Mask[p.idx0] == 0 &&
+					bitvec.Overlap(e.Key, e.Mask, ex.Key, ex.Mask) {
+					return ex
+				}
+				continue
 			}
-			continue
-		}
-		g := p.g
-		// Multi-entry group: under a mask that is a subset of e's, an
-		// overlapping entry's key is e.Key AND mask, so one probe decides.
-		if g.mask.SubsetOf(e.Mask) {
-			if ex := g.findMasked(e.Key); ex != nil {
-				return ex
+			g := p.g
+			// Multi-entry group: under a mask that is a subset of e's, an
+			// overlapping entry's key is e.Key AND mask, so one probe
+			// decides.
+			if g.mask.SubsetOf(e.Mask) {
+				if ex := g.findMasked(e.Key); ex != nil {
+					return ex
+				}
+				continue
 			}
-			continue
-		}
-		for _, s := range g.slots {
-			if s.e != nil && bitvec.Overlap(e.Key, e.Mask, s.e.Key, s.e.Mask) {
-				return s.e
+			for _, s := range g.slots {
+				if s.e != nil && bitvec.Overlap(e.Key, e.Mask, s.e.Key, s.e.Mask) {
+					return s.e
+				}
 			}
 		}
 	}
 	return nil
 }
 
-// placeLocked inserts the probe record of a new group (its entries already
-// in place) into c.probes at the position the configured scan order
-// gives it: the end for OrderInsertion, a binary search for OrderHash.
-func (c *Classifier) placeLocked(g *group) {
-	pos := len(c.probes)
-	if c.opts.Order == OrderHash {
-		pos = sort.Search(len(c.probes), func(i int) bool {
-			h := c.probes[i].g
-			if h.hash != g.hash {
-				return h.hash > g.hash
-			}
-			return h.maskKey > g.maskKey
-		})
+// scansAfter reports whether group a sorts after group b in OrderHash scan
+// order: by mask hash, ties broken by mask bits.
+func scansAfter(a, b *group) bool {
+	if a.hash != b.hash {
+		return a.hash > b.hash
 	}
-	c.probes = append(c.probes, scanProbe{})
-	copy(c.probes[pos+1:], c.probes[pos:len(c.probes)-1])
-	c.probes[pos] = buildProbe(g)
+	return a.maskKey > b.maskKey
+}
+
+// placeLocked inserts the probe record of a new group (its entries already
+// in place) at the position the configured scan order gives it: the end of
+// the last chunk for OrderInsertion; for OrderHash, a binary search on each
+// chunk's last record picks the chunk and a second one the offset in it. A
+// chunk that reaches 2*chunkFill records splits into two halves.
+func (c *Classifier) placeLocked(g *group) {
+	c.nMask++
+	if len(c.chunks) == 0 {
+		c.chunks = append(c.chunks, &probeChunk{probes: []scanProbe{buildProbe(g)}})
+		return
+	}
+	ci := len(c.chunks) - 1
+	j := len(c.chunks[ci].probes)
+	if c.opts.Order == OrderHash {
+		ci = sort.Search(ci, func(k int) bool {
+			ps := c.chunks[k].probes
+			return scansAfter(ps[len(ps)-1].g, g)
+		})
+		ps := c.chunks[ci].probes
+		j = sort.Search(len(ps), func(k int) bool { return scansAfter(ps[k].g, g) })
+	}
+	ch := c.chunkLocked(ci)
+	ch.probes = append(ch.probes, scanProbe{})
+	copy(ch.probes[j+1:], ch.probes[j:])
+	ch.probes[j] = buildProbe(g)
+	if len(ch.probes) < 2*chunkFill {
+		return
+	}
+	lo := &probeChunk{probes: append([]scanProbe(nil), ch.probes[:chunkFill]...)}
+	hi := &probeChunk{probes: append([]scanProbe(nil), ch.probes[chunkFill:]...)}
+	c.chunks = append(c.chunks, nil)
+	copy(c.chunks[ci+2:], c.chunks[ci+1:])
+	c.chunks[ci], c.chunks[ci+1] = lo, hi
 }
 
 // Delete removes the entry with exactly the given key and mask. It reports
@@ -979,15 +1068,15 @@ func (c *Classifier) Delete(key, mask bitvec.Vec) bool {
 	if g.find(key) == nil {
 		return false
 	}
-	gi := c.indexOfLocked(g)
-	g = c.mutableLocked(gi)
+	ci, j := c.locateLocked(g)
+	g = c.mutableLocked(g)
 	g.remove(key)
 	c.nEntry--
 	c.deleted++
 	if g.n == 0 {
-		c.removeAtLocked(gi)
+		c.removeAtLocked(ci, j)
 	} else {
-		c.probes[gi] = buildProbe(g)
+		c.setProbeLocked(ci, j, g)
 	}
 	c.publishLocked()
 	return true
@@ -999,37 +1088,79 @@ func (c *Classifier) Delete(key, mask bitvec.Vec) bool {
 // the whole dump-and-delete runs on the writer side and publishes one
 // snapshot at the end, so concurrent readers scan the previous snapshot
 // undisturbed for the duration (the revalidator's dump never stalls the
-// fast path).
+// fast path). A sweep that removes nothing publishes nothing.
+//
+// The sweep repacks the chunk table in one pass: a chunk that lost no
+// group is kept as it is (shared with the published snapshot), and the
+// surviving records of chunks that did are packed into fresh chunks of at
+// most chunkFill records, so a wipe that empties most of the cache leaves
+// a few full chunks rather than many near-empty ones.
 func (c *Classifier) DeleteWhere(pred func(*Entry) bool) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	removed := 0
-	for i := 0; i < len(c.probes); i++ {
-		g := c.probes[i].g
-		var victims []bitvec.Vec
-		g.each(func(e *Entry) bool {
-			if pred(e) {
-				victims = append(victims, e.Key)
-			}
-			return true
-		})
-		if len(victims) == 0 {
-			continue
-		}
-		g = c.mutableLocked(i)
-		for _, k := range victims {
-			if g.remove(k) {
-				c.nEntry--
-				removed++
-			}
-		}
-		if g.n == 0 {
-			c.removeAtLocked(i)
-			i-- // the next group moved into position i
-		} else {
-			c.probes[i] = buildProbe(g)
+	// out is the repacked table; pend holds survivors of changed chunks
+	// not yet moved into it.
+	out := make([]*probeChunk, 0, len(c.chunks)+1)
+	var pend []scanProbe
+	flush := func() {
+		if len(pend) > 0 {
+			out = append(out, &probeChunk{probes: pend})
+			pend = nil
 		}
 	}
+	keep := func(p scanProbe) {
+		pend = append(pend, p)
+		if len(pend) == chunkFill {
+			flush()
+		}
+	}
+	for _, ch := range c.chunks {
+		changed := false
+		for j, p := range ch.probes {
+			var victims []bitvec.Vec
+			p.g.each(func(e *Entry) bool {
+				if pred(e) {
+					victims = append(victims, e.Key)
+				}
+				return true
+			})
+			if len(victims) == 0 {
+				if changed {
+					keep(p)
+				}
+				continue
+			}
+			if !changed {
+				changed = true
+				for _, q := range ch.probes[:j] {
+					keep(q)
+				}
+			}
+			g := c.mutableLocked(p.g)
+			for _, k := range victims {
+				if g.remove(k) {
+					c.nEntry--
+					removed++
+				}
+			}
+			if g.n > 0 {
+				keep(buildProbe(g))
+			} else {
+				delete(c.byMask, g.maskKey)
+				c.nMask--
+			}
+		}
+		if !changed {
+			flush()
+			out = append(out, ch)
+		}
+	}
+	if removed == 0 {
+		return 0
+	}
+	flush()
+	c.chunks = out
 	c.deleted += uint64(removed)
 	c.publishLocked()
 	return removed
@@ -1045,7 +1176,7 @@ func (c *Classifier) ExpireIdle(now, timeout int64) int {
 // MaskCount returns |M|, the number of distinct masks — the quantity the
 // TSE attack maximises. Lock-free snapshot read.
 func (c *Classifier) MaskCount() int {
-	return len(c.snap.Load().probes)
+	return c.snap.Load().nMask
 }
 
 // EntryCount returns |C|, the number of installed megaflows. Lock-free
@@ -1082,12 +1213,13 @@ func (c *Classifier) Stats() Stats {
 func (c *Classifier) Entries() []*Entry {
 	sn := c.snap.Load()
 	out := make([]*Entry, 0, sn.nEntry)
-	for k := range sn.probes {
-		g := sn.probes[k].g
-		start := len(out)
-		g.each(func(e *Entry) bool { out = append(out, snapshotEntry(e)); return true })
-		within := out[start:]
-		sort.Slice(within, func(i, j int) bool { return within[i].Key.Key() < within[j].Key.Key() })
+	for _, ch := range sn.chunks {
+		for _, p := range ch.probes {
+			start := len(out)
+			p.g.each(func(e *Entry) bool { out = append(out, snapshotEntry(e)); return true })
+			within := out[start:]
+			sort.Slice(within, func(i, j int) bool { return within[i].Key.Key() < within[j].Key.Key() })
+		}
 	}
 	return out
 }
@@ -1108,9 +1240,11 @@ func snapshotEntry(e *Entry) *Entry {
 // Masks returns a snapshot of the distinct masks in scan order.
 func (c *Classifier) Masks() []bitvec.Vec {
 	sn := c.snap.Load()
-	out := make([]bitvec.Vec, len(sn.probes))
-	for i := range sn.probes {
-		out[i] = sn.probes[i].g.mask.Clone()
+	out := make([]bitvec.Vec, 0, sn.nMask)
+	for _, ch := range sn.chunks {
+		for _, p := range ch.probes {
+			out = append(out, p.g.mask.Clone())
+		}
 	}
 	return out
 }
@@ -1120,21 +1254,25 @@ func (c *Classifier) Masks() []bitvec.Vec {
 // debugging and the CLI tools.
 func (c *Classifier) Dump(w io.Writer, l *bitvec.Layout) {
 	sn := c.snap.Load()
-	for i := range sn.probes {
-		g := sn.probes[i].g
-		var es []*Entry
-		var hits uint64
-		g.each(func(e *Entry) bool {
-			es = append(es, snapshotEntry(e))
-			hits += es[len(es)-1].Hits
-			return true
-		})
-		sort.Slice(es, func(a, b int) bool { return es[a].Key.Key() < es[b].Key.Key() })
-		fmt.Fprintf(w, "mask %d/%d: %s (%d entries, %d hits)\n",
-			i+1, len(sn.probes), g.mask.Format(l), g.n, hits)
-		for _, e := range es {
-			fmt.Fprintf(w, "  %s hits=%d last=%d rule=%s\n",
-				bitvec.FormatMasked(l, e.Key, e.Mask), e.Hits, e.LastUsed, e.RuleName)
+	i := 0
+	for _, ch := range sn.chunks {
+		for _, p := range ch.probes {
+			i++
+			g := p.g
+			var es []*Entry
+			var hits uint64
+			g.each(func(e *Entry) bool {
+				es = append(es, snapshotEntry(e))
+				hits += es[len(es)-1].Hits
+				return true
+			})
+			sort.Slice(es, func(a, b int) bool { return es[a].Key.Key() < es[b].Key.Key() })
+			fmt.Fprintf(w, "mask %d/%d: %s (%d entries, %d hits)\n",
+				i, sn.nMask, g.mask.Format(l), g.n, hits)
+			for _, e := range es {
+				fmt.Fprintf(w, "  %s hits=%d last=%d rule=%s\n",
+					bitvec.FormatMasked(l, e.Key, e.Mask), e.Hits, e.LastUsed, e.RuleName)
+			}
 		}
 	}
 }
@@ -1145,10 +1283,14 @@ func (c *Classifier) Dump(w io.Writer, l *bitvec.Layout) {
 // the victim's traffic.
 func (c *Classifier) ProbePosition(mask bitvec.Vec) int {
 	sn := c.snap.Load()
-	mk := mask.Key()
-	for i := range sn.probes {
-		if sn.probes[i].g.maskKey == mk {
-			return i + 1
+	h := mask.Hash()
+	i := 0
+	for _, ch := range sn.chunks {
+		for k := range ch.probes {
+			i++
+			if g := ch.probes[k].g; g.hash == h && g.mask.Equal(mask) {
+				return i
+			}
 		}
 	}
 	return 0

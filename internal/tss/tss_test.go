@@ -319,7 +319,7 @@ func TestMaskOrderInsertion(t *testing.T) {
 }
 
 // TestScanProbeSize pins the scan record at 40 bytes: the record is
-// copied O(|M|) on every publish and streamed on every scan.
+// streamed on every scan and copied whenever a writer clones its chunk.
 func TestScanProbeSize(t *testing.T) {
 	if got := unsafe.Sizeof(scanProbe{}); got != 40 {
 		t.Errorf("sizeof(scanProbe) = %d, want 40", got)

@@ -385,13 +385,14 @@ type Miss struct {
 // megaflows are committed through one tss.InsertBatch transaction, which
 // goes through the classifier's writer mutex and publishes the next
 // lock-free snapshot (concurrent readers keep scanning the previous one),
-// so a burst pays exactly one O(|M|) publish instead of one per megaflow
-// — the amortisation that caps the attack-regime writer bill (each upcall
-// of a TSE flood otherwise re-copies the whole inflated probe mirror).
-// At large |M| one install therefore costs the classifier's O(|M|) Inv(2)
-// overlap walk over the flat probe mirror plus its share of that publish.
-// The overlap check stays on: the Conflicts/panic triage below is built
-// on the ErrOverlap it returns.
+// so a burst pays exactly one publish instead of one per megaflow. A
+// publish copies the classifier's chunk-pointer table, not its probe
+// records, and an install clones only the one probe chunk it lands in. At
+// large |M| one install therefore costs the classifier's O(|M|) Inv(2)
+// overlap walk over the probe chunks, one chunk clone of at most a few
+// hundred records, and its share of that publish. The overlap check stays
+// on: the Conflicts/panic triage below is built on the ErrOverlap it
+// returns.
 //
 // Per-miss semantics match a sequence of one-miss calls — same verdicts,
 // same counter totals (Slow/Installs/Suppressed/Conflicts and the
